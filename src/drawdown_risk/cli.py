@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +51,8 @@ class GridSpec:
         if not self.axes:
             raise ValidationError("grid needs at least one axis")
         for lo, hi, steps in self.axes:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError("grid bounds must be finite")
             if steps < 2:
                 raise ValidationError("grid steps must be >= 2")
             if not lo < hi:
@@ -59,10 +62,17 @@ class GridSpec:
     def dimension(self) -> int:
         return len(self.axes)
 
+    def _ticks(self) -> list[np.ndarray]:
+        return [np.linspace(lo, hi, steps) for lo, hi, steps in self.axes]
+
     def points(self):
         """Grid points in row-major order, first axis slowest."""
-        ticks = [np.linspace(lo, hi, steps) for lo, hi, steps in self.axes]
-        return itertools.product(*ticks)
+        return itertools.product(*(tick.tolist() for tick in self._ticks()))
+
+    def array(self) -> np.ndarray:
+        """The points of ``points`` as a (rows, dimension) array."""
+        mesh = np.meshgrid(*self._ticks(), indexing="ij")
+        return np.stack([axis.ravel() for axis in mesh], axis=1)
 
     def row_count(self) -> int:
         out = 1
@@ -101,9 +111,12 @@ def parse_grid(text: str) -> GridSpec:
 
 def parse_phi(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        phi = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ValidationError(f"bad portion vector {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(phi)):
+        raise ValidationError(f"bad portion vector {text!r}: entries must be finite")
+    return phi
 
 
 def _parse_probs(text: str | None):
@@ -156,18 +169,9 @@ def surface_result(
         raise ValidationError(
             f"grid dimension {grid.dimension} != number of systems {matrix.n_systems}"
         )
-    sentinel = (
-        float("inf") if kind in risk_measures.NONNEGATIVE_KINDS else float("-inf")
-    )
     header = tuple(f"phi{j + 1}" for j in range(grid.dimension)) + ("value",)
-    rows: list[tuple[float, ...]] = []
-    for point in grid.points():
-        phi = np.array(point, dtype=float)
-        try:
-            value = risk_measures.evaluate_measure(matrix, kind, phi, draws, budget).value
-        except DomainError:
-            value = sentinel
-        rows.append(tuple(point) + (value,))
+    values = risk_measures.evaluate_many(matrix, kind, grid.array(), draws, budget)
+    rows = [(*point, value) for point, value in zip(grid.points(), values.tolist())]
     return SurfaceResult(header, rows)
 
 
@@ -226,9 +230,9 @@ def _cmd_converge(args) -> int:
     matrix = _load_matrix_input(args.input, args.probs)
     phi = parse_phi(args.phi)
     lines = ["K,value"]
-    for draws in range(1, args.Kmax + 1):
-        value = risk_measures.rho_cur(matrix, phi, draws, args.budget)
-        lines.append(f"{draws},{repr(float(value))}")
+    if args.Kmax >= 1:
+        series = risk_measures.rho_cur_series(matrix, phi, args.Kmax, args.budget)
+        lines += [f"{draws},{value!r}" for draws, value in enumerate(series.tolist(), 1)]
     _write_output(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

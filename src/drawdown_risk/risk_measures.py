@@ -3,18 +3,29 @@
 Four measures are exposed, all nonnegative and vanishing at the zero
 allocation:
 
-* ``rho_down``   - negative expected terminal log loss (losing outcomes only),
-  computed exactly through the count-vector representation.
-* ``rho_cur``    - negative expected current-drawdown log series, computed by
-  full path enumeration.
+* ``rho_down``   - negative expected terminal log loss (losing outcomes only).
+* ``rho_cur``    - negative expected current-drawdown log series.
 * ``rho_down_x`` / ``rho_cur_x`` - their positively homogeneous
   linearizations, defined on all of R^M.
+
+All four are sums over count vectors, evaluated for many allocations at once
+by ``evaluate_many``.  ``rho_down`` sums over the count vectors of K draws.
+``rho_cur`` uses Spitzer's identity for i.i.d. walks (Spitzer 1956; Feller
+II, XII.7), rho_cur(K) = sum_{k<=K} rho_down(k) / k, and likewise for the
+linearizations, so it needs the count vectors of 1..K draws: C(K+N, N) - 1
+count states, which is what the enumeration budget counts for these four
+measures.  Count-vector probabilities come from the forward recurrence
+w_k(x) = sum_i p_i w_{k-1}(x - e_i), never from multinomial coefficients.
+The sums run in a different order than in version 0.1.0, so printed values
+can differ from it in the last digits.
 
 Alongside them live the coefficient families behind the small-scale closed
 forms (``d_first_approx``, ``u_expect``, ``d_cur_first_approx``,
 ``u_run_expect``), path-enumeration expectations used as the second route in
 verification, and diagnostics for the known discontinuity of the first
-approximation.
+approximation.  N^K paths are enumerated only for the drawdown coefficient
+families (``curFirstApprox``, ``runupExpect``), ``small_s_cur_verified`` and
+the ``expected_*`` verification routes.
 """
 
 from __future__ import annotations
@@ -26,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .path_engine import (
-    DEFAULT_ENUMERATION_BUDGET,
     TOPPING_TIE_TOL,
     _BLOCK,
+    _check_budget,
     _compositions_colex,
     iter_path_blocks,
     linear_prefix_blocks,
@@ -38,7 +49,13 @@ from .path_engine import (
     multinomial_coefficient,
     topping_from_prefix,
 )
-from .trade_core import TradeMatrix, as_portions, matrix_rank, require_interior
+from .trade_core import (
+    BOUNDARY_TOL,
+    TradeMatrix,
+    as_portions,
+    matrix_rank,
+    require_interior,
+)
 
 
 class MeasureKind(enum.Enum):
@@ -76,6 +93,18 @@ SMALL_S_KINDS = frozenset(
         MeasureKind.RUNUP_EXPECT,
     }
 )
+
+#: Kinds evaluated by the batched count-form kernel, mapped to whether they
+#: are Spitzer sums over draws 1..K (else a sum over the K-draw level only).
+_COUNT_KINDS = {
+    MeasureKind.DOWN: False,
+    MeasureKind.DOWN_X: False,
+    MeasureKind.CUR: True,
+    MeasureKind.CUR_X: True,
+}
+
+#: Most float temporaries the count-form kernel holds at once.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -123,12 +152,7 @@ def _count_table(matrix: TradeMatrix, draws: int, budget: int | None):
     if draws < 1:
         raise ValidationError("draws must be >= 1")
     n = matrix.n_periods
-    size = math.comb(draws + n - 1, n - 1)
-    limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    if size > limit:
-        raise BudgetExceededError(
-            f"count enumeration of size {size} exceeds budget {limit}"
-        )
+    _check_budget(math.comb(draws + n - 1, n - 1), budget, "count")
     comps, mults = _composition_table(n, draws)
     weights = mults * np.prod(matrix.probs**comps, axis=1)
     return comps, weights
@@ -144,15 +168,142 @@ def _cached_digits(n: int, draws: int) -> np.ndarray:
 
 def _path_digit_blocks(n: int, draws: int, budget: int | None):
     total = n**draws
-    limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceededError(
-            f"path enumeration of size {total} exceeds budget {limit}"
-        )
+    _check_budget(total, budget, "path")
     if total <= _BLOCK:
         yield _cached_digits(n, draws)
     else:
         yield from iter_path_blocks(n, draws, budget)
+
+
+def _colex_rank(comps: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Colex position of each count vector among those with the same total.
+
+    ``binom[r, j]`` is C(r + j, j), the number of count vectors of total r
+    over j + 1 rows; the rank sums, per row j >= 1, the vectors that agree
+    above row j and have a smaller entry there.
+    """
+    prefix = np.cumsum(comps, axis=1, dtype=comps.dtype)
+    rank = np.zeros(comps.shape[0], dtype=np.int64)
+    for j in range(1, comps.shape[1]):
+        rank += binom[prefix[:, j], j]
+        rank -= binom[prefix[:, j - 1], j]
+    return rank
+
+
+@functools.lru_cache(maxsize=16)
+def _count_plan(probs: tuple[float, ...], draws: int, spitzer: bool):
+    """Count vectors the count-form kernel sums over: (comps, weights, ends).
+
+    Level k holds the count vectors of k draws in colex order, with their
+    probabilities from the forward recurrence w_k(x) = sum_i p_i w_{k-1}(x - e_i),
+    so no weight overflows at any K.  A terminal plan holds level ``draws``
+    only.  A Spitzer plan holds levels 1..draws one after the other, level k
+    weighted by w_k / k.  ``ends[k]`` indexes the last vector of the k-th level
+    held.  Level k is grown from level k - 1 by adding e_i to every vector.
+    """
+    p = np.array(probs)
+    n = p.size
+    binom = np.array(
+        [[math.comb(r + j, j) for j in range(n)] for r in range(draws + 1)],
+        dtype=np.int64,
+    )
+    unit = np.eye(n, dtype=np.min_scalar_type(draws))
+    comps, weights = unit, p
+    levels = [(comps, weights)]
+    for k in range(2, draws + 1):
+        size = math.comb(k + n - 1, n - 1)
+        grown_comps = np.empty((size, n), dtype=unit.dtype)
+        grown_weights = np.zeros(size)
+        for i in range(n):
+            grown = comps + unit[i]
+            ranks = _colex_rank(grown, binom)
+            grown_comps[ranks] = grown
+            grown_weights += np.bincount(ranks, weights=weights * p[i], minlength=size)
+        comps, weights = grown_comps, grown_weights
+        if spitzer:
+            levels.append((comps, weights / k))
+        else:
+            levels = [(comps, weights)]
+    plan = (
+        np.concatenate([c for c, _ in levels]),
+        np.concatenate([w for _, w in levels]),
+        np.cumsum([len(c) for c, _ in levels]) - 1,
+    )
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _running_sums(
+    comps: np.ndarray, weights: np.ndarray, ends: np.ndarray, steps: np.ndarray
+) -> np.ndarray:
+    """Running sums of w(x) * min(0, x . steps) over x, read at ``ends``: (B, L).
+
+    ``steps`` is (N, B), one column per point.  Plain elementwise arithmetic
+    in a fixed order and a strictly sequential sum over x, carried across
+    chunks of count vectors, so a point's values depend only on its own steps,
+    never on B or on where a chunk ends.
+    """
+    rows = max(1, _CHUNK // max(steps.shape[1], comps.shape[1]))
+    out = np.empty((len(ends), steps.shape[1]))
+    read = 0
+    for c0 in range(0, len(comps), rows):
+        x = comps[c0 : c0 + rows].astype(float)
+        lin = x[:, :1] * steps[0]
+        for i in range(1, x.shape[1]):
+            lin += x[:, i : i + 1] * steps[i]
+        np.minimum(lin, 0.0, out=lin)
+        lin *= weights[c0 : c0 + rows, None]
+        if c0:
+            lin[0] += lin_last
+        np.cumsum(lin, axis=0, out=lin)
+        lin_last = lin[-1]
+        stop = np.searchsorted(ends, c0 + len(x))
+        out[read:stop] = lin[ends[read:stop] - c0]
+        read = stop
+    return out.T
+
+
+def _count_form(
+    matrix: TradeMatrix, kind: MeasureKind, phis, draws: int, budget: int | None
+) -> np.ndarray:
+    """Count-form values at each row of ``phis`` (G, M), as a (G, L) array.
+
+    Terminal kinds give L = 1, the value at ``draws``.  Spitzer kinds give
+    L = draws, column k - 1 holding the value at k draws.  Log kinds are
+    +inf at points whose smallest holding period return is <= BOUNDARY_TOL.
+    Points go through in blocks, so no temporary exceeds ``_CHUNK`` values.
+    """
+    if draws < 1:
+        raise ValidationError("draws must be >= 1")
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 2 or phis.shape[1] != matrix.n_systems:
+        raise ValidationError(
+            f"portion vectors must have shape (G, {matrix.n_systems}), got {phis.shape}"
+        )
+    n = matrix.n_periods
+    _check_budget(math.comb(draws + n, n) - 1, budget, "count")
+    comps, weights, ends = _count_plan(
+        tuple(matrix.probs.tolist()), draws, _COUNT_KINDS[kind]
+    )
+    log_kind = kind in (MeasureKind.DOWN, MeasureKind.CUR)
+    block = max(1, _CHUNK // len(comps))
+    sums = np.empty((len(phis), len(ends)))
+    outside = np.zeros(len(phis), dtype=bool)
+    for g0 in range(0, len(phis), block):
+        part = phis[g0 : g0 + block]
+        steps = matrix.returns[:, :1] * part[:, 0]
+        for m in range(1, matrix.n_systems):
+            steps += matrix.returns[:, m : m + 1] * part[:, m]
+        if log_kind:
+            beyond = (1.0 + steps).min(axis=0) <= BOUNDARY_TOL
+            outside[g0 : g0 + block] = beyond
+            steps = np.log1p(np.where(beyond, 0.0, steps))
+        sums[g0 : g0 + block] = _running_sums(comps, weights, ends, steps)
+    # + 0.0 normalizes the negative zero produced by negating an exact zero
+    values = -sums + 0.0
+    values[outside] = math.inf
+    return values
 
 
 def _coefficient_log_form(coef, scaled_dots, *, allow_neg_inf: bool) -> float:
@@ -250,49 +401,32 @@ def rho_down(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) ->
     exactly at the zero allocation.
     """
     arr = require_interior(matrix, phi)
-    comps, weights = _count_table(matrix, draws, budget)
-    steps = np.log1p(matrix.dots(arr))
-    terminal = comps @ steps
-    # + 0.0 normalizes the negative zero produced by negating an exact zero
-    return float(-(weights @ np.minimum(terminal, 0.0))) + 0.0
+    return float(_count_form(matrix, MeasureKind.DOWN, arr[None], draws, budget)[0, -1])
 
 
 def rho_cur(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) -> float:
-    """Negative expected current-drawdown log series, by full path enumeration."""
+    """Negative expected current-drawdown log series, as a Spitzer sum of ``rho_down``."""
+    return float(rho_cur_series(matrix, phi, draws, budget)[-1])
+
+
+def rho_cur_series(
+    matrix: TradeMatrix, phi, draws: int, budget: int | None = None
+) -> np.ndarray:
+    """``rho_cur`` at 1..draws draws from one pass; entry K-1 equals ``rho_cur(K)``."""
     arr = require_interior(matrix, phi)
-    return -expected_current_drawdown(matrix, arr, draws, budget) + 0.0
+    return _count_form(matrix, MeasureKind.CUR, arr[None], draws, budget)[0]
 
 
 def rho_down_x(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) -> float:
     """Positively homogeneous linearization of ``rho_down``; defined on all of R^M."""
     arr = as_portions(matrix, phi)
-    comps, weights = _count_table(matrix, draws, budget)
-    linear = (comps @ matrix.returns) @ arr
-    return float(-(weights @ np.minimum(linear, 0.0))) + 0.0
+    return float(_count_form(matrix, MeasureKind.DOWN_X, arr[None], draws, budget)[0, -1])
 
 
 def rho_cur_x(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) -> float:
     """Positively homogeneous linearization of ``rho_cur``; defined on all of R^M."""
     arr = as_portions(matrix, phi)
-    return -_linear_drawdown_sum(matrix, arr, draws, budget) + 0.0
-
-
-def _linear_drawdown_sum(
-    matrix: TradeMatrix, phi: np.ndarray, draws: int, budget: int | None
-) -> float:
-    """Expected linearized equity change after the linear topping point (<= 0)."""
-    if draws < 1:
-        raise ValidationError("draws must be >= 1")
-    n = matrix.n_periods
-    acc = 0.0
-    for digits in _path_digit_blocks(n, draws, budget):
-        w = np.prod(matrix.probs[digits], axis=1)
-        prefix = linear_prefix_blocks(matrix.returns, digits, phi)
-        top = topping_from_prefix(prefix, 0.0)
-        rows = np.arange(len(top))
-        at_top = np.where(top > 0, prefix[rows, np.maximum(top - 1, 0)], 0.0)
-        acc += float(w @ (prefix[:, -1] - at_top))
-    return acc
+    return float(_count_form(matrix, MeasureKind.CUR_X, arr[None], draws, budget)[0, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +507,7 @@ def d_cur_second_approx(
     if s < 0.0:
         raise ValidationError("scale s must be >= 0")
     theta = _unit_direction(matrix, theta)
-    return _linear_drawdown_sum(matrix, s * theta, draws, budget)
+    return -rho_cur_x(matrix, s * theta, draws, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +628,33 @@ def small_s_cur_verified(
 
 # ---------------------------------------------------------------------------
 # Structured evaluation (CLI surface)
+
+
+def evaluate_many(
+    matrix: TradeMatrix,
+    kind: MeasureKind | str,
+    phis,
+    draws: int,
+    budget: int | None = None,
+) -> np.ndarray:
+    """Evaluate one measure kind at every row of ``phis`` (G, M); returns G values.
+
+    ``down``, ``downX``, ``cur`` and ``curX`` are computed for all points in
+    one count-form pass.  The coefficient forms are evaluated point by point.
+    Inadmissible points get +inf for the nonnegative kinds and -inf for the
+    nonpositive approximation forms, so a grid stays a full lattice.
+    """
+    kind = MeasureKind(kind)
+    if kind in _COUNT_KINDS:
+        return _count_form(matrix, kind, phis, draws, budget)[:, -1]
+    sentinel = math.inf if kind in NONNEGATIVE_KINDS else -math.inf
+    out = np.empty(len(phis))
+    for j, phi in enumerate(phis):
+        try:
+            out[j] = evaluate_measure(matrix, kind, phi, draws, budget).value
+        except DomainError:
+            out[j] = sentinel
+    return out
 
 
 def evaluate_measure(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError, ValidationError
 
@@ -254,6 +253,9 @@ def positive_dual_certificate(a) -> np.ndarray | None:
     The returned certificate minimizes sum(y), which makes it unique for
     generic inputs and keeps reports reproducible.
     """
+    # imported here: it takes ~0.3 s and only the structural check needs it
+    import scipy.optimize
+
     arr = np.atleast_2d(np.asarray(a, dtype=float))
     n = arr.shape[0]
     res = scipy.optimize.linprog(
@@ -274,6 +276,8 @@ def nonneg_image_direction(a) -> np.ndarray | None:
     Solves min ||x||_1 subject to a @ x >= 0 and sum(a @ x) = 1; feasibility
     is the complementary alternative of ``positive_dual_certificate``.
     """
+    import scipy.optimize
+
     arr = np.atleast_2d(np.asarray(a, dtype=float))
     n, m = arr.shape
     # x = u - v with u, v >= 0

@@ -106,3 +106,13 @@ def linear_prefix(returns, theta, omega):
         vec = [math.fsum(returns[i - 1][c] for i in omega[:j]) for c in range(m)]
         out.append(dot(vec, theta))
     return out
+
+
+def linear_current_drawdown(returns, phi, omega):
+    """Running-maximum form of the linearized current drawdown along a path."""
+    prefix = []
+    total = 0.0
+    for i in omega:
+        total += dot(returns[i - 1], phi)
+        prefix.append(total)
+    return prefix[-1] - max(0.0, max(prefix))

@@ -264,3 +264,35 @@ class TestFromMarket:
 
     def test_usage_error_exit_one(self):
         assert main(["from-market"]) == 1
+
+
+class TestNonFiniteInput:
+    def test_infinite_phi_exit_one(self, matrix_file, capsys):
+        assert main(["eval", matrix_file, "--measure", "downX", "--phi=inf,0"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_infinite_grid_bound_exit_one(self, matrix_file, capsys):
+        code = main(["surface", matrix_file, "--measure", "downX", "--grid=-inf:0:2,0:1:2"])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+
+    def test_nan_phi_is_validation_not_domain(self, matrix_file, capsys):
+        assert main(["eval", matrix_file, "--measure", "down", "--phi=nan,0"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import drawdown_risk
+
+    src = str(Path(drawdown_risk.__file__).resolve().parent.parent)
+    code = "import sys, drawdown_risk.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
