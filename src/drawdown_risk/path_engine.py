@@ -1,26 +1,29 @@
-"""Enumeration of draw paths and count vectors, equity-curve log series.
+"""The path stack: draw paths in blocks, and the pathwise log series.
 
 A game path is an ordered tuple omega with entries in {1..N} (1-based row
-indices of the trade matrix).  Paths are enumerated in lexicographic order
-and count vectors (the order-free reduction of a path) in colexicographic
-order, so that derived output files are byte stable.  Terminal log wealth is
-accumulated as a sum of log1p terms rather than a product followed by a log;
-a period with a nonpositive holding period return contributes -inf.
+indices of the trade matrix).  ``iter_path_blocks`` enumerates paths in
+lexicographic order as 0-based digit arrays of shape (B, K) and is the one
+place the path budget, N^K paths, is checked; ``enumerate_paths`` is a
+per-path view of it.  Count vectors live in ``risk_measures``.
+
+Each pathwise quantity is defined once, on prefix log sums of shape (B, K)
+(``*_from_prefix``); the single-path functions are one-row calls of them.
+Log wealth is a sum of log1p terms rather than the log of a product; a
+period with a nonpositive holding period return contributes -inf.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ValidationError
 from .trade_core import TradeMatrix, as_portions
 
-#: Default ceiling on the number of enumerated paths or count vectors per call.
+#: Default ceiling on the number of enumerated paths or count states per call.
 DEFAULT_ENUMERATION_BUDGET = 2**24
 
 #: Prefix log sums within this distance of the running maximum count as ties
@@ -38,14 +41,6 @@ class PathOutcome:
     prob: float
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """Occurrence counts of each row over a path, with multinomial weight."""
-
-    x: tuple[int, ...]
-    weight: float
-
-
 def _check_budget(size: int, budget: int | None, what: str) -> None:
     limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     if size > limit:
@@ -54,16 +49,31 @@ def _check_budget(size: int, budget: int | None, what: str) -> None:
         )
 
 
+def iter_path_blocks(
+    n: int, draws: int, budget: int | None = None, block: int = _BLOCK
+) -> Iterator[np.ndarray]:
+    """0-based path index arrays of shape (B, draws), in lexicographic order.
+
+    ``draws`` and the budget are checked when called, before the first block.
+    """
+    if draws < 1:
+        raise ValidationError("draws must be >= 1")
+    total = n**draws
+    _check_budget(total, budget, "path")
+    shape = (n,) * draws
+    return (
+        np.stack(np.unravel_index(np.arange(start, min(start + block, total)), shape), axis=1)
+        for start in range(0, total, block)
+    )
+
+
 def enumerate_paths(probs, draws: int, budget: int | None = None) -> Iterator[PathOutcome]:
     """Yield every ordered path of the given length in lexicographic order."""
     p = np.asarray(probs, dtype=float)
-    n = p.shape[0]
-    _check_budget(n**draws, budget, "path")
-    for omega in itertools.product(range(1, n + 1), repeat=draws):
-        prob = 1.0
-        for i in omega:
-            prob *= p[i - 1]
-        yield PathOutcome(omega, float(prob))
+    for digits in iter_path_blocks(p.shape[0], draws, budget):
+        weights = np.prod(p[digits], axis=1)
+        for omega, prob in zip((digits + 1).tolist(), weights.tolist()):
+            yield PathOutcome(tuple(omega), prob)
 
 
 def multinomial_coefficient(x) -> int:
@@ -74,40 +84,6 @@ def multinomial_coefficient(x) -> int:
         total += int(v)
         out *= math.comb(total, int(v))
     return out
-
-
-def _compositions_colex(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for head in _compositions_colex(total - last, parts - 1):
-            yield head + (last,)
-
-
-def enumerate_counts(probs, draws: int, budget: int | None = None) -> Iterator[CountVector]:
-    """Yield every count vector summing to ``draws`` in colexicographic order."""
-    p = np.asarray(probs, dtype=float)
-    n = p.shape[0]
-    _check_budget(math.comb(draws + n - 1, n - 1), budget, "count")
-    for x in _compositions_colex(draws, n):
-        weight = float(multinomial_coefficient(x))
-        for pi, xi in zip(p, x):
-            weight *= pi**xi
-        yield CountVector(x, weight)
-
-
-def iter_path_blocks(
-    n: int, draws: int, budget: int | None = None, block: int = _BLOCK
-) -> Iterator[np.ndarray]:
-    """Yield 0-based path index arrays of shape (B, draws) in lexicographic order."""
-    total = n**draws
-    _check_budget(total, budget, "path")
-    shape = (n,) * draws
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        yield np.stack(np.unravel_index(flat, shape), axis=1)
 
 
 def log_hpr_rows(matrix: TradeMatrix, phi) -> np.ndarray:
@@ -149,37 +125,57 @@ def twr_segment(matrix: TradeMatrix, phi, omega, first: int, last: int) -> float
 
 def _path_prefix(matrix: TradeMatrix, phi, omega) -> np.ndarray:
     rows = log_hpr_rows(matrix, phi)
-    return np.cumsum(rows[_omega_index(matrix, omega)])
+    return np.cumsum(rows[_omega_index(matrix, omega)])[None, :]
+
+
+def loss_from_prefix(prefix: np.ndarray) -> np.ndarray:
+    """Terminal log loss min(0, S_K) of each prefix-sum row (-inf on a wipeout)."""
+    return np.minimum(0.0, prefix[:, -1])
+
+
+def gain_from_prefix(prefix: np.ndarray) -> np.ndarray:
+    """Terminal log gain max(0, S_K) of each prefix-sum row."""
+    return np.maximum(0.0, prefix[:, -1])
+
+
+def drawdown_from_prefix(prefix: np.ndarray) -> np.ndarray:
+    """Current drawdown of each prefix-sum row, in suffix-minimum form.
+
+    min(0, min over l of S_K - S_{l-1}) with S_0 = 0: log of min over l of
+    min(1, TWR over steps l..K), the drawdown still open at the final step,
+    measured from the running peak.  -inf on a wipeout.
+    """
+    terminal = prefix[:, -1]
+    starts = np.concatenate([np.zeros((prefix.shape[0], 1)), prefix[:, :-1]], axis=1)
+    with np.errstate(invalid="ignore"):
+        out = np.minimum(0.0, (terminal[:, None] - starts).min(axis=1))
+    out[np.isneginf(terminal)] = -np.inf
+    return out
+
+
+def runup_from_prefix(prefix: np.ndarray) -> np.ndarray:
+    """Largest prefix gain max(0, max_l S_l) of each prefix-sum row."""
+    return np.maximum(0.0, prefix.max(axis=1))
 
 
 def downtrade_log(matrix: TradeMatrix, phi, omega) -> float:
     """Terminal log wealth clipped above at 0 (nonpositive; -inf on a wipeout)."""
-    return min(0.0, float(_path_prefix(matrix, phi, omega)[-1]))
+    return float(loss_from_prefix(_path_prefix(matrix, phi, omega))[0])
 
 
 def uptrade_log(matrix: TradeMatrix, phi, omega) -> float:
     """Terminal log wealth clipped below at 0 (nonnegative)."""
-    return max(0.0, float(_path_prefix(matrix, phi, omega)[-1]))
+    return float(gain_from_prefix(_path_prefix(matrix, phi, omega))[0])
 
 
 def current_drawdown_log(matrix: TradeMatrix, phi, omega) -> float:
-    """Log loss from the best suffix start to the end of the equity curve.
-
-    This is log min over l of min(1, TWR over steps l..K): the drawdown still
-    open at the final step, measured from the running peak.
-    """
-    prefix = _path_prefix(matrix, phi, omega)
-    terminal = float(prefix[-1])
-    if math.isinf(terminal):
-        return -math.inf
-    starts = np.concatenate(([0.0], prefix[:-1]))
-    return min(0.0, float((terminal - starts).min()))
+    """Log loss from the best suffix start to the end of the equity curve."""
+    return float(drawdown_from_prefix(_path_prefix(matrix, phi, omega))[0])
 
 
 def runup_log(matrix: TradeMatrix, phi, omega) -> float:
     """Largest prefix gain of the equity curve, clipped below at 0."""
-    prefix = _path_prefix(matrix, phi, omega)
-    return max(0.0, float(prefix.max()))
+    return float(runup_from_prefix(_path_prefix(matrix, phi, omega))[0])
 
 
 def stable_cumsum(values: np.ndarray) -> np.ndarray:
@@ -226,7 +222,7 @@ def twr_topping_point(matrix: TradeMatrix, phi, omega) -> int:
     the earliest index wins.
     """
     prefix = _path_prefix(matrix, phi, omega)
-    return int(topping_from_prefix(prefix[None, :], TOPPING_TIE_TOL)[0])
+    return int(topping_from_prefix(prefix, TOPPING_TIE_TOL)[0])
 
 
 def linear_prefix_blocks(returns: np.ndarray, digits: np.ndarray, theta) -> np.ndarray:

@@ -8,24 +8,25 @@ allocation:
 * ``rho_down_x`` / ``rho_cur_x`` - their positively homogeneous
   linearizations, defined on all of R^M.
 
-All four are sums over count vectors, evaluated for many allocations at once
-by ``evaluate_many``.  ``rho_down`` sums over the count vectors of K draws.
-``rho_cur`` uses Spitzer's identity for i.i.d. walks (Spitzer 1956; Feller
-II, XII.7), rho_cur(K) = sum_{k<=K} rho_down(k) / k, and likewise for the
-linearizations, so it needs the count vectors of 1..K draws: C(K+N, N) - 1
-count states, which is what the enumeration budget counts for these four
-measures.  Count-vector probabilities come from the forward recurrence
-w_k(x) = sum_i p_i w_{k-1}(x - e_i), never from multinomial coefficients.
-The sums run in a different order than in version 0.1.0, so printed values
-can differ from it in the last digits.
+This module holds the count stack.  ``_count_plan`` is the one producer of
+count vectors: colex count vectors of 1..K draws, grown level by level, with
+probabilities from the forward recurrence w_k(x) = sum_i p_i w_{k-1}(x - e_i),
+never from multinomial coefficients.  Every consumer reads it after one
+budget check of C(K+N, N) - 1 count states, the states the recurrence visits.
+
+The four measures are evaluated for many allocations at once by
+``evaluate_many``.  ``rho_cur`` uses Spitzer's identity for i.i.d. walks
+(Spitzer 1956; Feller II, XII.7), rho_cur(K) = sum_{k<=K} rho_down(k) / k,
+and likewise for the linearizations.  Printed values, those of the terminal
+coefficient forms included, can differ from version 0.1.0 in the last digits.
 
 Alongside them live the coefficient families behind the small-scale closed
-forms (``d_first_approx``, ``u_expect``, ``d_cur_first_approx``,
-``u_run_expect``), path-enumeration expectations used as the second route in
+forms, the path-enumeration expectations used as the second route in
 verification, and diagnostics for the known discontinuity of the first
 approximation.  N^K paths are enumerated only for the drawdown coefficient
 families (``curFirstApprox``, ``runupExpect``), ``small_s_cur_verified`` and
-the ``expected_*`` verification routes.
+the ``expected_*`` routes, which weight the pathwise quantities of
+``path_engine`` over path blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -42,11 +44,13 @@ from .path_engine import (
     TOPPING_TIE_TOL,
     _BLOCK,
     _check_budget,
-    _compositions_colex,
+    drawdown_from_prefix,
+    gain_from_prefix,
     iter_path_blocks,
     linear_prefix_blocks,
     log_hpr_rows,
-    multinomial_coefficient,
+    loss_from_prefix,
+    runup_from_prefix,
     topping_from_prefix,
 )
 from .trade_core import (
@@ -138,41 +142,36 @@ class MeasureEvaluation:
     small_s_verified: bool | None = None
 
 
+@dataclass(frozen=True)
+class CountVector:
+    """Occurrence counts of each row over a path, with their probability."""
+
+    x: tuple[int, ...]
+    weight: float
+
+
 @functools.lru_cache(maxsize=32)
-def _composition_table(n: int, draws: int):
-    comps = np.array(list(_compositions_colex(draws, n)), dtype=np.int64)
-    mults = np.array([multinomial_coefficient(x) for x in comps], dtype=float)
-    comps.setflags(write=False)
-    mults.setflags(write=False)
-    return comps, mults
-
-
-def _count_table(matrix: TradeMatrix, draws: int, budget: int | None):
-    """Composition matrix (C, N) and multinomial weights for the game."""
-    if draws < 1:
-        raise ValidationError("draws must be >= 1")
-    n = matrix.n_periods
-    _check_budget(math.comb(draws + n - 1, n - 1), budget, "count")
-    comps, mults = _composition_table(n, draws)
-    weights = mults * np.prod(matrix.probs**comps, axis=1)
-    return comps, weights
+def _composition_table(n: int, draws: int) -> np.ndarray:
+    """C(r + j, j) for r <= draws and j < n: count vectors of total r over j + 1 rows."""
+    table = np.array(
+        [[math.comb(r + j, j) for j in range(n)] for r in range(draws + 1)],
+        dtype=np.int64,
+    )
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_digits(n: int, draws: int) -> np.ndarray:
-    flat = np.arange(n**draws, dtype=np.int64)
-    digits = np.stack(np.unravel_index(flat, (n,) * draws), axis=1)
+    digits = next(iter_path_blocks(n, draws))
     digits.setflags(write=False)
     return digits
 
 
 def _path_digit_blocks(n: int, draws: int, budget: int | None):
-    total = n**draws
-    _check_budget(total, budget, "path")
-    if total <= _BLOCK:
-        yield _cached_digits(n, draws)
-    else:
-        yield from iter_path_blocks(n, draws, budget)
+    """``iter_path_blocks``, with a single block read from the cache."""
+    blocks = iter_path_blocks(n, draws, budget)
+    return (_cached_digits(n, draws),) if n**draws <= _BLOCK else blocks
 
 
 def _colex_rank(comps: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -192,7 +191,7 @@ def _colex_rank(comps: np.ndarray, binom: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _count_plan(probs: tuple[float, ...], draws: int, spitzer: bool):
-    """Count vectors the count-form kernel sums over: (comps, weights, ends).
+    """Count vectors with their probabilities: (comps, weights, ends).
 
     Level k holds the count vectors of k draws in colex order, with their
     probabilities from the forward recurrence w_k(x) = sum_i p_i w_{k-1}(x - e_i),
@@ -203,14 +202,11 @@ def _count_plan(probs: tuple[float, ...], draws: int, spitzer: bool):
     """
     p = np.array(probs)
     n = p.size
-    binom = np.array(
-        [[math.comb(r + j, j) for j in range(n)] for r in range(draws + 1)],
-        dtype=np.int64,
-    )
+    binom = _composition_table(n, draws)
     unit = np.eye(n, dtype=np.min_scalar_type(draws))
-    comps, weights = unit, p
-    levels = [(comps, weights)]
-    for k in range(2, draws + 1):
+    comps, weights = np.zeros((1, n), dtype=unit.dtype), np.ones(1)
+    levels = []
+    for k in range(1, draws + 1):
         size = math.comb(k + n - 1, n - 1)
         grown_comps = np.empty((size, n), dtype=unit.dtype)
         grown_weights = np.zeros(size)
@@ -222,8 +218,8 @@ def _count_plan(probs: tuple[float, ...], draws: int, spitzer: bool):
         comps, weights = grown_comps, grown_weights
         if spitzer:
             levels.append((comps, weights / k))
-        else:
-            levels = [(comps, weights)]
+    if not spitzer:
+        levels = [(comps, weights)]
     plan = (
         np.concatenate([c for c, _ in levels]),
         np.concatenate([w for _, w in levels]),
@@ -232,6 +228,26 @@ def _count_plan(probs: tuple[float, ...], draws: int, spitzer: bool):
     for arr in plan:
         arr.setflags(write=False)
     return plan
+
+
+def _count_levels(probs, draws: int, budget: int | None, spitzer: bool = False):
+    """``_count_plan`` of a game after the one count budget rule.
+
+    Every plan visits the count vectors of 1..draws draws, C(K+N, N) - 1
+    count states, whichever levels it keeps.
+    """
+    if draws < 1:
+        raise ValidationError("draws must be >= 1")
+    n = len(probs)
+    _check_budget(math.comb(draws + n, n) - 1, budget, "count")
+    return _count_plan(tuple(np.asarray(probs, dtype=float).tolist()), draws, spitzer)
+
+
+def enumerate_counts(probs, draws: int, budget: int | None = None) -> Iterator[CountVector]:
+    """Yield every count vector summing to ``draws`` in colexicographic order."""
+    comps, weights, _ = _count_levels(probs, draws, budget)
+    for x, weight in zip(comps.tolist(), weights.tolist()):
+        yield CountVector(tuple(x), weight)
 
 
 def _running_sums(
@@ -274,18 +290,12 @@ def _count_form(
     +inf at points whose smallest holding period return is <= BOUNDARY_TOL.
     Points go through in blocks, so no temporary exceeds ``_CHUNK`` values.
     """
-    if draws < 1:
-        raise ValidationError("draws must be >= 1")
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 2 or phis.shape[1] != matrix.n_systems:
         raise ValidationError(
             f"portion vectors must have shape (G, {matrix.n_systems}), got {phis.shape}"
         )
-    n = matrix.n_periods
-    _check_budget(math.comb(draws + n, n) - 1, budget, "count")
-    comps, weights, ends = _count_plan(
-        tuple(matrix.probs.tolist()), draws, _COUNT_KINDS[kind]
-    )
+    comps, weights, ends = _count_levels(matrix.probs, draws, budget, _COUNT_KINDS[kind])
     log_kind = kind in (MeasureKind.DOWN, MeasureKind.CUR)
     block = max(1, _CHUNK // len(comps))
     sums = np.empty((len(phis), len(ends)))
@@ -344,7 +354,7 @@ def updown_coefficients(
     approximation's discontinuity.
     """
     theta = _unit_direction(matrix, theta)
-    comps, weights = _count_table(matrix, draws, budget)
+    comps, weights, _ = _count_levels(matrix.probs, draws, budget)
     # combine rows first: count vectors whose row combination cancels
     # exactly must land on the loss side, not drift on dot-product noise
     linear = (comps @ matrix.returns) @ theta
@@ -518,69 +528,37 @@ def expected_downtrade(
     matrix: TradeMatrix, phi, draws: int, budget: int | None = None
 ) -> float:
     """E of the terminal log loss by direct path enumeration (-inf allowed)."""
-    arr = as_portions(matrix, phi)
-    rows = log_hpr_rows(matrix, arr)
-
-    def fold(prefix: np.ndarray) -> np.ndarray:
-        return np.minimum(0.0, prefix[:, -1])
-
-    return _path_expectation(matrix, rows, draws, budget, fold)
+    return _path_expectation(matrix, phi, draws, budget, loss_from_prefix)
 
 
 def expected_uptrade(
     matrix: TradeMatrix, phi, draws: int, budget: int | None = None
 ) -> float:
     """E of the terminal log gain by direct path enumeration."""
-    arr = as_portions(matrix, phi)
-    rows = log_hpr_rows(matrix, arr)
-
-    def fold(prefix: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, prefix[:, -1])
-
-    return _path_expectation(matrix, rows, draws, budget, fold)
+    return _path_expectation(matrix, phi, draws, budget, gain_from_prefix)
 
 
 def expected_current_drawdown(
     matrix: TradeMatrix, phi, draws: int, budget: int | None = None
 ) -> float:
     """E of the current-drawdown log series by direct path enumeration."""
-    arr = as_portions(matrix, phi)
-    rows = log_hpr_rows(matrix, arr)
-
-    def fold(prefix: np.ndarray) -> np.ndarray:
-        terminal = prefix[:, -1]
-        starts = np.concatenate(
-            [np.zeros((prefix.shape[0], 1)), prefix[:, :-1]], axis=1
-        )
-        with np.errstate(invalid="ignore"):
-            vals = np.minimum(0.0, (terminal[:, None] - starts).min(axis=1))
-        vals[np.isneginf(terminal)] = -np.inf
-        return vals
-
-    return _path_expectation(matrix, rows, draws, budget, fold)
+    return _path_expectation(matrix, phi, draws, budget, drawdown_from_prefix)
 
 
 def expected_runup(
     matrix: TradeMatrix, phi, draws: int, budget: int | None = None
 ) -> float:
     """E of the run-up log series by direct path enumeration."""
-    arr = as_portions(matrix, phi)
-    rows = log_hpr_rows(matrix, arr)
-
-    def fold(prefix: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, prefix.max(axis=1))
-
-    return _path_expectation(matrix, rows, draws, budget, fold)
+    return _path_expectation(matrix, phi, draws, budget, runup_from_prefix)
 
 
-def _path_expectation(matrix, rows, draws, budget, fold) -> float:
-    if draws < 1:
-        raise ValidationError("draws must be >= 1")
+def _path_expectation(matrix, phi, draws, budget, quantity) -> float:
+    """Probability-weighted sum of a pathwise quantity of prefix blocks."""
+    rows = log_hpr_rows(matrix, as_portions(matrix, phi))
     acc = 0.0
     for digits in _path_digit_blocks(matrix.n_periods, draws, budget):
         w = np.prod(matrix.probs[digits], axis=1)
-        prefix = np.cumsum(rows[digits], axis=1)
-        acc += float(w @ fold(prefix))
+        acc += float(w @ quantity(np.cumsum(rows[digits], axis=1)))
     return acc
 
 
@@ -599,7 +577,7 @@ def small_s_down_verified(
     forms reproduce the path expectations exactly.
     """
     theta = _unit_direction(matrix, theta)
-    comps, _ = _count_table(matrix, draws, budget)
+    comps, _, _ = _count_levels(matrix.probs, draws, budget)
     scaled = s * matrix.dots(theta)
     if np.any(1.0 + scaled <= 0.0):
         return False
@@ -753,7 +731,7 @@ def hyperplane_directions(
     """
     if matrix.n_systems != 2:
         raise ValidationError("hyperplane scan is only available for M == 2")
-    comps, _ = _count_table(matrix, draws, budget)
+    comps, _, _ = _count_levels(matrix.probs, draws, budget)
     seen: set[tuple[float, float]] = set()
     out: list[tuple[np.ndarray, tuple[int, ...]]] = []
     for x in comps:

@@ -6,7 +6,9 @@ monotonicity, small-scale equalities, topping points, row span), and reports
 pass/fail counts.  The suites deliberately evaluate each quantity by two
 routes where the design provides them (count form against path form,
 definition against running-maximum form), so they double as an end-to-end
-cross-check of the library.
+cross-check of the library.  The topping suite checks every path of a point
+at once on the digit blocks of ``path_engine``; no suite loops over paths in
+Python.
 """
 
 from __future__ import annotations
@@ -245,36 +247,43 @@ def suite_topping(
     matrix: TradeMatrix, draws: int, samples: int, rng: np.random.Generator,
     budget: int | None = None,
 ) -> SuiteResult:
-    """Topping-point ordering, characterization, and pathwise identities."""
+    """Topping-point ordering, characterization, and pathwise identities.
+
+    Every path is checked at once, on digit blocks.  The pathwise quantities
+    come from the log1p prefix sums; their second routes, the terminal log
+    wealth z and the running-maximum form of the current drawdown, come from
+    the per-step logs of the compounded growth factors instead.
+    """
     res = SuiteResult("topping")
     points = min(10, max(1, samples))
-    paths = list(path_engine.enumerate_paths(matrix.probs, draws, budget))
+    n = matrix.n_periods
     for phi in sample_interior(matrix, rng, points):
         theta = phi / np.linalg.norm(phi)
-        ok_order = True
-        ok_ident = True
-        ok_oracle = True
-        for path in paths:
-            om = path.omega
-            lstar = path_engine.twr_topping_point(matrix, phi, om)
-            lhat = path_engine.linear_topping_point(matrix, theta, om)
-            ok_order &= lstar <= lhat
-            z = sum(
-                math.log(path_engine.twr_segment(matrix, phi, om, j, j))
-                for j in range(1, draws + 1)
+        logs = path_engine.log_hpr_rows(matrix, phi)
+        steps = np.array(
+            [math.log(path_engine.twr_segment(matrix, phi, (i,), 1, 1)) for i in range(1, n + 1)]
+        )
+        ok_order = ok_ident = ok_oracle = True
+        for digits in path_engine.iter_path_blocks(n, draws, budget):
+            prefix = np.cumsum(logs[digits], axis=1)
+            lstar = path_engine.topping_from_prefix(prefix, path_engine.TOPPING_TIE_TOL)
+            lhat = path_engine.topping_from_prefix(
+                path_engine.linear_prefix_blocks(matrix.returns, digits, theta), 0.0
             )
-            u = path_engine.uptrade_log(matrix, phi, om)
-            d = path_engine.downtrade_log(matrix, phi, om)
-            dc = path_engine.current_drawdown_log(matrix, phi, om)
-            ur = path_engine.runup_log(matrix, phi, om)
-            ok_ident &= abs(u + d - z) <= 1e-12 and abs(dc + ur - z) <= 1e-12
-            ok_ident &= dc <= d + 1e-15 and d <= 0.0
+            ok_order &= bool(np.all(lstar <= lhat))
+            u = path_engine.gain_from_prefix(prefix)
+            d = path_engine.loss_from_prefix(prefix)
+            dc = path_engine.drawdown_from_prefix(prefix)
+            ur = path_engine.runup_from_prefix(prefix)
+            walk = np.cumsum(steps[digits], axis=1)
+            z = walk[:, -1]
+            ok_ident &= bool(np.all(
+                (np.abs(u + d - z) <= 1e-12) & (np.abs(dc + ur - z) <= 1e-12)
+                & (dc <= d + 1e-15) & (d <= 0.0)
+            ))
             # running-maximum form of the current drawdown
-            prefix = np.cumsum(
-                [math.log(path_engine.twr_segment(matrix, phi, om, j, j)) for j in range(1, draws + 1)]
-            )
-            alt = prefix[-1] - max(0.0, float(prefix.max()))
-            ok_oracle &= abs(dc - alt) <= 1e-12
+            alt = z - np.maximum(0.0, walk.max(axis=1))
+            ok_oracle &= bool(np.all(np.abs(dc - alt) <= 1e-12))
         res.record(ok_order, f"topping order at {phi}")
         res.record(ok_ident, f"pathwise identities at {phi}")
         res.record(ok_oracle, f"running-maximum form at {phi}")

@@ -116,3 +116,13 @@ def linear_current_drawdown(returns, phi, omega):
         total += dot(returns[i - 1], phi)
         prefix.append(total)
     return prefix[-1] - max(0.0, max(prefix))
+
+
+def compositions_colex(total, parts):
+    """Count vectors of ``parts`` entries summing to ``total``, in colex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for last in range(total + 1):
+        for head in compositions_colex(total - last, parts - 1):
+            yield head + (last,)

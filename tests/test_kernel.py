@@ -13,6 +13,7 @@ import oracles
 from conftest import EXAMPLE_PROBS, EXAMPLE_RETURNS, FLAT_SEGMENT_RETURNS, interior_points
 from drawdown_risk import (
     TradeMatrix,
+    enumerate_counts,
     expected_current_drawdown,
     risk_measures,
     rho_cur,
@@ -79,7 +80,7 @@ def test_count_plan_weights_are_count_probabilities():
     probs = (0.5, 0.3, 0.2)
     for draws in (1, 4, 7):
         comps, weights, ends = risk_measures._count_plan(probs, draws, False)
-        want = [tuple(x) for x in risk_measures._compositions_colex(draws, 3)]
+        want = [tuple(x) for x in oracles.compositions_colex(draws, 3)]
         assert [tuple(int(v) for v in x) for x in comps] == want
         assert ends.tolist() == [len(want) - 1]
         exact = [
@@ -153,19 +154,31 @@ def test_chunk_size_leaves_surface_bytes_unchanged(game_file, capsys, monkeypatc
         assert len(outputs) == 1, measure
 
 
-def test_cur_budget_counts_all_levels(game_file, capsys):
+@pytest.mark.parametrize("measure", ["cur", "downFirstApprox"])
+def test_cur_budget_counts_all_levels(game_file, capsys, measure):
     # N=4, K=3: C(3+4, 4) - 1 = 34 count states over levels 1..3
-    argv = ["eval", game_file, "--measure", "cur", "--K", "3", "--phi=0.1,0.1"]
+    argv = ["eval", game_file, "--measure", measure, "--K", "3", "--phi=0.1,0.1"]
     assert main(argv + ["--budget", "33"]) == 2
     assert main(argv + ["--budget", "34"]) == 0
 
 
-def test_down_at_large_k_is_finite(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "measure, sign",
+    [("down", 1.0), ("downFirstApprox", -1.0), ("upExpect", 1.0)],
+    ids=["down", "downFirstApprox", "upExpect"],
+)
+def test_down_at_large_k_is_finite(tmp_path, capsys, measure, sign):
     path = tmp_path / "coin.json"
     path.write_text(json.dumps({"returns": [[1.0], [-0.5]]}))
-    code, out = _run(capsys, ["eval", str(path), "--measure", "down", "--K", "1100", "--phi=0.1"])
+    code, out = _run(capsys, ["eval", str(path), "--measure", measure, "--K", "1100", "--phi=0.1"])
     assert code == 0
-    assert math.isfinite(float(out)) and float(out) >= 0.0
+    assert math.isfinite(float(out)) and sign * float(out) >= 0.0
+
+
+def test_count_weights_at_large_k_are_a_distribution():
+    weights = [c.weight for c in enumerate_counts([0.5, 0.5], 1100)]
+    assert len(weights) == 1101 and all(math.isfinite(w) for w in weights)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reference_cur_at_k60_under_one_second(example_matrix):
