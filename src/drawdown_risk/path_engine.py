@@ -10,12 +10,18 @@ Each pathwise quantity is defined once, on prefix log sums of shape (B, K)
 (``*_from_prefix``); the single-path functions are one-row calls of them.
 Log wealth is a sum of log1p terms rather than the log of a product; a
 period with a nonpositive holding period return contributes -inf.
+
+Every sign of the linear walk sum_i x_i <t_i, theta>, for the loss/gain split
+and the linear topping point, comes from one exact rule, ``linear_signs``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -31,6 +37,8 @@ DEFAULT_ENUMERATION_BUDGET = 2**24
 TOPPING_TIE_TOL = 1e-14
 
 _BLOCK = 1 << 16
+
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -178,28 +186,6 @@ def runup_log(matrix: TradeMatrix, phi, omega) -> float:
     return float(runup_from_prefix(_path_prefix(matrix, phi, omega))[0])
 
 
-def stable_cumsum(values: np.ndarray) -> np.ndarray:
-    """Row-wise running sums with Neumaier compensation.
-
-    Plain cumsum resolves exact-real ties between prefix values by stray
-    rounding, which matters when locating minimal topping points on games
-    with linearly dependent rows; compensated accumulation keeps such ties
-    exact.
-    """
-    vals = np.atleast_2d(values)
-    out = np.empty_like(vals, dtype=float)
-    hi = np.zeros(vals.shape[0])
-    lo = np.zeros(vals.shape[0])
-    for j in range(vals.shape[1]):
-        v = vals[:, j]
-        s = hi + v
-        big = s - hi
-        lo = lo + ((hi - (s - big)) + (v - big))
-        hi = s
-        out[:, j] = hi + lo
-    return out if values.ndim == 2 else out[0]
-
-
 def topping_from_prefix(prefix: np.ndarray, tie_tol: float = 0.0) -> np.ndarray:
     """First topping points of prefix-sum rows.
 
@@ -226,33 +212,83 @@ def twr_topping_point(matrix: TradeMatrix, phi, omega) -> int:
 
 
 def linear_prefix_blocks(returns: np.ndarray, digits: np.ndarray, theta) -> np.ndarray:
-    """Linear-equity prefix sums for a block of paths, vector-first.
+    """Float prefix sums of <t_j, theta> along a block of paths: (B, K)."""
+    return np.cumsum((returns @ np.asarray(theta, dtype=float))[digits.T], axis=0).T
 
-    Accumulates the row-vector prefix sum(t_{omega_j}) with compensation and
-    projects onto theta once per prefix.  Evaluating the vectors first makes
-    prefix values whose row combinations cancel exactly (games with linearly
-    dependent rows) come out as exact float ties, which the minimal-index
-    topping rule then resolves deterministically.
+
+def _exact_steps(returns: np.ndarray, theta: list[float]) -> tuple[list[int], int]:
+    """The exact <t_i, theta> as integer numerators over one common denominator."""
+    steps = [sum(Fraction(t) * Fraction(v) for t, v in zip(r, theta)) for r in returns.tolist()]
+    scale = max(s.denominator for s in steps)  # all powers of two
+    return [s.numerator * (scale // s.denominator) for s in steps], scale
+
+
+def linear_signs(returns, theta, counts, values=None, scale=None, steps=0) -> np.ndarray:
+    """Exact signs of the linear walks sum_i x_i <t_i, theta>, x = counts[:, j, ...].
+
+    A float value with an a-priori error bound decides each sign it clears;
+    the rest are recomputed in integers (Shewchuk's adaptive predicates, DCG
+    1997).  The value defaults to ``(returns @ theta) @ counts``.  A caller
+    that summed a walk another way passes its ``values``, a ``scale`` at
+    least the sum of |x_i t_im theta_m| over the terms in each, and the
+    ``steps`` of its sums beyond the N + M of the default.
     """
-    vecs = returns[digits]  # (B, K, M)
-    pref = np.stack(
-        [stable_cumsum(vecs[:, :, m]) for m in range(vecs.shape[2])], axis=2
-    )
-    return pref @ np.asarray(theta, dtype=float)
+    returns, theta = np.asarray(returns, dtype=float), np.asarray(theta, dtype=float)
+    if values is None:
+        values, scale = (returns @ theta) @ counts, (np.abs(returns) @ np.abs(theta)) @ counts
+    # no term meets more than N + M + steps roundings; eps = 2u doubles that
+    # gamma bound and tiny covers underflow
+    bound = _EPS * (sum(returns.shape) + 2 + steps) * scale + _TINY
+    signs = np.sign(values)
+    near = ~(np.abs(values) > bound)
+    if near.any():
+        signs[near] = 0.0
+        near[near] = counts[:, near].any(axis=0)  # a zero vector is exactly 0
+        if near.any():
+            exact = np.array(_exact_steps(returns, theta.tolist())[0], dtype=object)
+            signs[near] = [(v > 0) - (v < 0) for v in exact @ counts[:, near].astype(object)]
+    return signs
+
+
+def linear_topping_blocks(returns: np.ndarray, digits: np.ndarray, theta) -> np.ndarray:
+    """First topping points of the linear equity curves of a path block, exactly.
+
+    From the float argmax of the walk S_0 = 0, S_1..S_K, ``linear_signs``
+    compares the candidate with every step and moves it to the first step
+    exactly higher until none is; the topping point is the first step
+    exactly equal to that maximum, 0 when S_0 is.
+    """
+    walk = np.vstack([np.zeros(len(digits)), linear_prefix_blocks(returns, digits, theta).T])
+    counts = np.zeros((len(returns),) + walk.shape, dtype=np.min_scalar_type(-len(walk)))
+    hits = digits.T == np.arange(len(returns))[:, None, None]
+    np.cumsum(hits, axis=1, dtype=counts.dtype, out=counts[:, 1:])
+    # every prefix sum of a path has at most its whole magnitude
+    scale = 2.0 * ((np.abs(returns) @ np.abs(theta)) @ counts[:, -1])
+    paths, top = np.arange(len(digits)), walk.argmax(axis=0)
+    while True:
+        signs = linear_signs(
+            returns, theta, counts[:, top, paths][:, None] - counts,
+            walk[top, paths] - walk, scale, len(walk),
+        )
+        higher = signs < 0
+        if not higher.any():
+            return np.argmax(signs == 0, axis=0)
+        top = np.where(higher.any(axis=0), higher.argmax(axis=0), top)
 
 
 def linear_prefix_sums(matrix: TradeMatrix, theta, omega) -> np.ndarray:
-    """Prefix sums of <t_j, theta> along one path (the linear equity curve)."""
-    idx = _omega_index(matrix, omega)
-    return linear_prefix_blocks(matrix.returns, idx[None, :], theta)[0]
+    """Prefix sums of <t_j, theta> along one path, each exact and then rounded."""
+    steps, scale = _exact_steps(matrix.returns, np.asarray(theta, dtype=float).tolist())
+    walk = itertools.accumulate(steps[i] for i in _omega_index(matrix, omega).tolist())
+    return np.array([value / scale for value in walk])
 
 
 def linear_topping_point(matrix: TradeMatrix, theta, omega) -> int:
     """First topping point of the linearized equity curve sum of <t_j, theta>.
 
     No tolerance band: the smallest index attaining the strictly positive
-    maximum of the prefix sums, 0 when that maximum is nonpositive.
-    Exact-real ties resolve to the earliest index.
+    maximum of the prefix sums, 0 when that maximum is nonpositive.  Exact
+    ties resolve to the earliest index.
     """
-    prefix = linear_prefix_sums(matrix, theta, omega)
-    return int(topping_from_prefix(prefix[None, :], 0.0)[0])
+    idx = _omega_index(matrix, omega)
+    return int(linear_topping_blocks(matrix.returns, idx[None, :], theta)[0])

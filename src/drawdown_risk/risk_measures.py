@@ -23,10 +23,11 @@ coefficient forms included, can differ from version 0.1.0 in the last digits.
 Alongside them live the coefficient families behind the small-scale closed
 forms, the path-enumeration expectations used as the second route in
 verification, and diagnostics for the known discontinuity of the first
-approximation.  N^K paths are enumerated only for the drawdown coefficient
-families (``curFirstApprox``, ``runupExpect``), ``small_s_cur_verified`` and
-the ``expected_*`` routes, which weight the pathwise quantities of
-``path_engine`` over path blocks.
+approximation.  The terminal families split count vectors, and the drawdown
+families group paths, by the exact sign rule of ``path_engine``.  N^K paths
+are enumerated only for the drawdown families (``curFirstApprox``,
+``runupExpect``), ``small_s_cur_verified`` and the ``expected_*`` routes,
+which weight the pathwise quantities of ``path_engine`` over path blocks.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ from .path_engine import (
     drawdown_from_prefix,
     gain_from_prefix,
     iter_path_blocks,
-    linear_prefix_blocks,
+    linear_prefix_blocks,  # noqa: F401  (wrapped by the benchmark tracer)
+    linear_signs,
+    linear_topping_blocks,
     log_hpr_rows,
     loss_from_prefix,
     runup_from_prefix,
@@ -75,28 +78,11 @@ class MeasureKind(enum.Enum):
     RUNUP_EXPECT = "runupExpect"
 
 
-#: Kinds whose values are nonnegative (inf sentinel on inadmissible points).
-NONNEGATIVE_KINDS = frozenset(
-    {
-        MeasureKind.DOWN,
-        MeasureKind.DOWN_X,
-        MeasureKind.CUR,
-        MeasureKind.CUR_X,
-        MeasureKind.UP_EXPECT,
-        MeasureKind.RUNUP_EXPECT,
-    }
-)
-
-#: Kinds that are only exact in the small-scale regime and carry the
-#: ``small_s_verified`` flag on structured evaluations.
-SMALL_S_KINDS = frozenset(
-    {
-        MeasureKind.DOWN_FIRST_APPROX,
-        MeasureKind.CUR_FIRST_APPROX,
-        MeasureKind.UP_EXPECT,
-        MeasureKind.RUNUP_EXPECT,
-    }
-)
+#: Kinds whose values are nonnegative (inf sentinel on inadmissible points):
+#: all but the two first approximations.
+NONNEGATIVE_KINDS = frozenset(MeasureKind) - {
+    MeasureKind.DOWN_FIRST_APPROX, MeasureKind.CUR_FIRST_APPROX
+}
 
 #: Kinds evaluated by the batched count-form kernel, mapped to whether they
 #: are Spitzer sums over draws 1..K (else a sum over the K-draw level only).
@@ -128,9 +114,7 @@ class CoefficientTable:
 
     def totals(self) -> np.ndarray:
         """Per-row coefficient sums (collapses the topping-point axis)."""
-        if self.values.ndim == 1:
-            return self.values
-        return self.values.sum(axis=0)
+        return self.values if self.values.ndim == 1 else self.values.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -316,23 +300,9 @@ def _count_form(
     return values
 
 
-def _coefficient_log_form(coef, scaled_dots, *, allow_neg_inf: bool) -> float:
-    """Sum of coef_n * log(1 + scaled_dots_n), skipping zero coefficients."""
-    total = 0.0
-    for c, d in zip(coef, scaled_dots):
-        if c == 0.0:
-            continue
-        if d <= -1.0:
-            if allow_neg_inf:
-                return -math.inf
-            raise DomainError(
-                "log-term argument is nonpositive; point is not admissible"
-            )
-        total += c * math.log1p(d)
-    return float(total)
-
-
-def _unit_direction(matrix: TradeMatrix, theta) -> np.ndarray:
+def _unit_direction(matrix: TradeMatrix, theta, s: float = 0.0) -> np.ndarray:
+    if s < 0.0:
+        raise ValidationError("scale s must be >= 0")
     arr = as_portions(matrix, theta)
     if not np.all(np.isfinite(arr)) or not arr.any():
         raise ValidationError("direction must be a nonzero finite vector")
@@ -348,22 +318,18 @@ def updown_coefficients(
 ) -> tuple[CoefficientTable, CoefficientTable]:
     """Terminal win/loss coefficient families at a direction.
 
-    Count vectors are split by the sign of the linearized terminal outcome
-    sum(x_i * <t_i, theta>); the boundary (== 0) goes to the loss side.  The
-    exact comparison is deliberate: it is the documented source of the first
-    approximation's discontinuity.
+    Count vectors are split by the exact sign of the linearized terminal
+    outcome sum(x_i * <t_i, theta>); the boundary (== 0) goes to the loss
+    side.  The sharp split is deliberate: it is the documented source of the
+    first approximation's discontinuity.
     """
     theta = _unit_direction(matrix, theta)
     comps, weights, _ = _count_levels(matrix.probs, draws, budget)
-    # combine rows first: count vectors whose row combination cancels
-    # exactly must land on the loss side, not drift on dot-product noise
-    linear = (comps @ matrix.returns) @ theta
-    down = linear <= 0.0
-    dvals = (weights[down, None] * comps[down]).sum(axis=0)
-    uvals = (weights[~down, None] * comps[~down]).sum(axis=0)
+    down = linear_signs(matrix.returns, theta, comps.T) <= 0
+    weighted = weights[:, None] * comps
     return (
-        CoefficientTable("U", np.asarray(uvals, dtype=float), theta, draws),
-        CoefficientTable("D", np.asarray(dvals, dtype=float), theta, draws),
+        CoefficientTable("U", weighted[~down].sum(axis=0), theta, draws),
+        CoefficientTable("D", weighted[down].sum(axis=0), theta, draws),
     )
 
 
@@ -377,19 +343,15 @@ def drawdown_coefficients(
     second table counts occurrences up to and including step l.
     """
     theta = _unit_direction(matrix, theta)
-    n = matrix.n_periods
-    lam = np.zeros((draws + 1, n))
-    ups = np.zeros((draws + 1, n))
-    for digits in _path_digit_blocks(n, draws, budget):
+    lam, ups = np.zeros((2, draws + 1, matrix.n_periods))
+    for digits in _path_digit_blocks(matrix.n_periods, draws, budget):
         w = np.prod(matrix.probs[digits], axis=1)
-        prefix = linear_prefix_blocks(matrix.returns, digits, theta)
-        top = topping_from_prefix(prefix, 0.0)
+        top = linear_topping_blocks(matrix.returns, digits, theta)
         for level in range(draws + 1):
             mask = top == level
             if not mask.any():
                 continue
-            sub = digits[mask]
-            wsub = w[mask]
+            sub, wsub = digits[mask], w[mask]
             for pos in range(level, draws):
                 np.add.at(lam[level], sub[:, pos], wsub)
             for pos in range(level):
@@ -443,6 +405,29 @@ def rho_cur_x(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) -
 # Coefficient-form approximations (exact in the small-scale regime)
 
 
+def _coefficient_form(matrix, s, theta, draws, budget, *, drawdown, loss) -> float:
+    """Sum of c_i * log(1 + s * <t_i, theta>) over nonzero D, U, Lambda or Upsilon totals.
+
+    Where a log term is undefined the loss side (D, Lambda) is -inf and the
+    gain side raises ``DomainError``.
+    """
+    theta = _unit_direction(matrix, theta, s)
+    if drawdown:
+        lose, gain = drawdown_coefficients(matrix, theta, draws, budget)
+    else:
+        gain, lose = updown_coefficients(matrix, theta, draws, budget)
+    total = 0.0
+    for c, d in zip((lose if loss else gain).totals(), s * matrix.dots(theta)):
+        if c == 0.0:
+            continue
+        if d <= -1.0:
+            if loss:
+                return -math.inf
+            raise DomainError("log-term argument is nonpositive; point is not admissible")
+        total += c * math.log1p(d)
+    return float(total)
+
+
 def d_first_approx(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
@@ -452,35 +437,21 @@ def d_first_approx(
     it when the small-scale sign patterns hold.  Returns -inf when a needed
     log term is undefined (allocation beyond the admissible set).
     """
-    if s < 0.0:
-        raise ValidationError("scale s must be >= 0")
-    theta = _unit_direction(matrix, theta)
-    _, down = updown_coefficients(matrix, theta, draws, budget)
-    return _coefficient_log_form(
-        down.values, s * matrix.dots(theta), allow_neg_inf=True
-    )
+    return _coefficient_form(matrix, s, theta, draws, budget, drawdown=False, loss=True)
 
 
 def u_expect(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
     """Coefficient form of the expected terminal log gain at scale s."""
-    if s < 0.0:
-        raise ValidationError("scale s must be >= 0")
-    theta = _unit_direction(matrix, theta)
-    up, _ = updown_coefficients(matrix, theta, draws, budget)
-    return _coefficient_log_form(
-        up.values, s * matrix.dots(theta), allow_neg_inf=False
-    )
+    return _coefficient_form(matrix, s, theta, draws, budget, drawdown=False, loss=False)
 
 
 def d_second_approx(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
     """Linearized (second) approximation of the expected terminal log loss."""
-    if s < 0.0:
-        raise ValidationError("scale s must be >= 0")
-    theta = _unit_direction(matrix, theta)
+    theta = _unit_direction(matrix, theta, s)
     return -rho_down_x(matrix, s * theta, draws, budget)
 
 
@@ -488,35 +459,21 @@ def d_cur_first_approx(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
     """First approximation of the expected current-drawdown log series."""
-    if s < 0.0:
-        raise ValidationError("scale s must be >= 0")
-    theta = _unit_direction(matrix, theta)
-    lam, _ = drawdown_coefficients(matrix, theta, draws, budget)
-    return _coefficient_log_form(
-        lam.totals(), s * matrix.dots(theta), allow_neg_inf=True
-    )
+    return _coefficient_form(matrix, s, theta, draws, budget, drawdown=True, loss=True)
 
 
 def u_run_expect(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
     """Coefficient form of the expected run-up log series at scale s."""
-    if s < 0.0:
-        raise ValidationError("scale s must be >= 0")
-    theta = _unit_direction(matrix, theta)
-    _, ups = drawdown_coefficients(matrix, theta, draws, budget)
-    return _coefficient_log_form(
-        ups.totals(), s * matrix.dots(theta), allow_neg_inf=False
-    )
+    return _coefficient_form(matrix, s, theta, draws, budget, drawdown=True, loss=False)
 
 
 def d_cur_second_approx(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
     """Linearized (second) approximation of the expected current drawdown."""
-    if s < 0.0:
-        raise ValidationError("scale s must be >= 0")
-    theta = _unit_direction(matrix, theta)
+    theta = _unit_direction(matrix, theta, s)
     return -rho_cur_x(matrix, s * theta, draws, budget)
 
 
@@ -581,9 +538,9 @@ def small_s_down_verified(
     scaled = s * matrix.dots(theta)
     if np.any(1.0 + scaled <= 0.0):
         return False
-    linear = (comps @ matrix.returns) @ theta
     logged = comps @ np.log1p(scaled)
-    return bool(np.all(np.where(linear > 0.0, logged > 0.0, logged < 0.0)))
+    gain = linear_signs(matrix.returns, theta, comps.T) > 0
+    return bool(np.all(np.where(gain, logged > 0.0, logged < 0.0)))
 
 
 def small_s_cur_verified(
@@ -596,9 +553,7 @@ def small_s_cur_verified(
         return False
     for digits in _path_digit_blocks(matrix.n_periods, draws, budget):
         log_top = topping_from_prefix(np.cumsum(rows[digits], axis=1), TOPPING_TIE_TOL)
-        lin_top = topping_from_prefix(
-            linear_prefix_blocks(matrix.returns, digits, theta), 0.0
-        )
+        lin_top = linear_topping_blocks(matrix.returns, digits, theta)
         if np.any(log_top != lin_top):
             return False
     return True

@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here is plain Python over itertools and math, deliberately
-avoiding the library's numpy internals: products of holding period returns,
-log series via explicit loops, expectations by full path enumeration.
+Everything here is plain Python over itertools, math and fractions,
+deliberately avoiding the library's numpy internals: products of holding
+period returns, log series via explicit loops, expectations by full path
+enumeration, exact rationals where a sign must not depend on rounding.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def dot(row, phi):
@@ -126,3 +128,35 @@ def compositions_colex(total, parts):
     for last in range(total + 1):
         for head in compositions_colex(total - last, parts - 1):
             yield head + (last,)
+
+
+def exact_coefficient_totals(returns, probs, theta, draws):
+    """U, D, Upsilon and Lambda totals in exact rational arithmetic, path by path.
+
+    The linear steps <t_i, theta> are the exact rationals of the float inputs.
+    A path's symbols count towards D when its terminal linear outcome is <= 0
+    and towards U otherwise; they count towards Upsilon up to and including
+    the topping point (the first index of the strictly positive maximum of the
+    linear prefix sums, 0 when none is positive) and towards Lambda after it.
+    Each total is rounded to a float once, at the end.
+    """
+    n = len(returns)
+    steps = [sum(Fraction(t) * Fraction(v) for t, v in zip(row, theta)) for row in returns]
+    up, down, ups, lam = ([Fraction(0)] * n for _ in range(4))
+    for omega in all_paths(n, draws):
+        prob = math.prod((Fraction(probs[i - 1]) for i in omega), start=Fraction(1))
+        top, best, level = 0, Fraction(0), Fraction(0)
+        for j, i in enumerate(omega, start=1):
+            level += steps[i - 1]
+            if level > best:
+                top, best = j, level
+        terminal = down if level <= 0 else up
+        for pos, i in enumerate(omega, start=1):
+            terminal[i - 1] += prob
+            (ups if pos <= top else lam)[i - 1] += prob
+    return tuple([float(v) for v in vec] for vec in (up, down, ups, lam))
+
+
+def coefficient_log_form(coef, returns, theta, s):
+    """Sum of coef_i * log(1 + s * <t_i, theta>) over the rows with a nonzero coefficient."""
+    return sum(c * math.log1p(s * dot(row, theta)) for c, row in zip(coef, returns) if c)

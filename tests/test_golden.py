@@ -1,0 +1,85 @@
+"""Golden stdout digests: ``verify`` and the exact-measure surfaces keep their bytes.
+
+The digests were captured from the CLI before the linear-walk sign rule was
+made exact.  They cover outputs that rule must not move: the verification
+battery on three fixture games, and the default 121x121 surfaces of the four
+count-form measures, none of which reads the sign of the linear walk.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from conftest import EXAMPLE_PROBS, EXAMPLE_RETURNS, FLAT_SEGMENT_RETURNS
+from drawdown_risk.cli import main
+from test_kernel import DEPENDENT_PROBS, DEPENDENT_RETURNS
+
+GAME_FILES = {
+    "reference": {"returns": EXAMPLE_RETURNS, "probs": EXAMPLE_PROBS},
+    "dependent": {"returns": DEPENDENT_RETURNS, "probs": DEPENDENT_PROBS},
+    "flat": {"returns": FLAT_SEGMENT_RETURNS},
+}
+
+VERIFY_DIGESTS = {
+    ("reference", 0): "3366048afde2c12162574c4d44a98b6141702736a30b49faa113adfc2828d417",
+    ("reference", 1): "3366048afde2c12162574c4d44a98b6141702736a30b49faa113adfc2828d417",
+    ("dependent", 0): "9fd47d497443fd33fc3eeea96fb5b3406ec002145c61f8b2cd7988eb237a7675",
+    ("dependent", 1): "9fd47d497443fd33fc3eeea96fb5b3406ec002145c61f8b2cd7988eb237a7675",
+    ("flat", 0): "9debc07c728bbb7c5c1438baf41692bcb03b170d316bf1ec1015edc5f8899fcb",
+    ("flat", 1): "9debc07c728bbb7c5c1438baf41692bcb03b170d316bf1ec1015edc5f8899fcb",
+}
+
+SURFACE_DIGESTS = {
+    ("down", 1): "d464bb355ce49e1b066324ad02bb62759d179856229cca4486653ad4a6dea57b",
+    ("down", 2): "21dd27e2324bdb46ef7d8dcab1888503235b6de3a59d4da632b1f28eb053e870",
+    ("down", 3): "64c224d647af1d8e259cd43bf7d434fa07f2df2893bab978438eb8b51b4cc5b7",
+    ("down", 4): "705739db1432ead20d384a24e1c6bcfe4841c3d5412251c7ec9d7583cba37ea9",
+    ("down", 5): "f6c4a7e580b955170ed5cd41f6b8b6300cb9fc5759847a6ea2f12bd1e98fd181",
+    ("downX", 1): "24b032b3682e23e6f13419eaa5b5ded6359ee9d4189b4f95fe0f1202ec4c9e01",
+    ("downX", 2): "9fdbd3acf27b8c40c3e0e7e8b32b68967990202d9f929e3cc41196a55b9b5bbf",
+    ("downX", 3): "f5c5414fbb4fe59bbe5e5d17b7a2cd6ad010d68523be49c7f1bcfb5db3944017",
+    ("downX", 4): "8095caa4672994d1b6121fbbcfdee846ff9d6bb5b05bd841ca10dcb652c499f3",
+    ("downX", 5): "5a5fac11bfd3db2cfa892370faa94b2b49c5dbac51b4e212f1f04253d2e7a92c",
+    ("cur", 1): "d464bb355ce49e1b066324ad02bb62759d179856229cca4486653ad4a6dea57b",
+    ("cur", 2): "d3c243326a9c31dcee1a95a76bc4be24ea270052c7576236e4cd8c2db8a795fd",
+    ("cur", 3): "0b55bf865e1b57371a69606ad8ac05796d0f3fcabebd0017037e1ebb8a4e6850",
+    ("cur", 4): "ea3c7660ff67116c971b759fe5f4bf1264918d5cfdf746f796d472cd25bf44b6",
+    ("cur", 5): "f8e21a5999f7c01fa1c8a6068c92e9466ee249a0008a238428f93b4e609d1126",
+    ("curX", 1): "24b032b3682e23e6f13419eaa5b5ded6359ee9d4189b4f95fe0f1202ec4c9e01",
+    ("curX", 2): "1833596973cb0cd0eb2815d050224d640b34ba7694d8d42750e172466b99455a",
+    ("curX", 3): "12f520fe5df581ea087279358be1125f9fa6ac010a3e59e3bf3568e2247e53a2",
+    ("curX", 4): "4b93c523d8f353865be1e1b982f0455f137079bc75168e1863cce9443c4cc4f5",
+    ("curX", 5): "2eafae967d75f15c9850226d55316c82634098139d15fa79ff0f8ac54f687e80",
+}
+
+
+def stdout_digest(argv) -> tuple[int, str]:
+    """Exit code and sha256 of the stdout of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def write_game(directory, name) -> str:
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(GAME_FILES[name]))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, seed", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_digest(tmp_path, name, seed):
+    argv = ["verify", write_game(tmp_path, name), "--K", "3", "--seed", str(seed)]
+    assert stdout_digest(argv) == (0, VERIFY_DIGESTS[name, seed])
+
+
+@pytest.mark.parametrize("measure, draws", sorted(SURFACE_DIGESTS))
+def test_surface_stdout_digest(tmp_path, measure, draws):
+    argv = ["surface", write_game(tmp_path, "reference"), "--measure", measure,
+            "--K", str(draws)]
+    assert stdout_digest(argv) == (0, SURFACE_DIGESTS[measure, draws])

@@ -162,6 +162,16 @@ def test_cur_budget_counts_all_levels(game_file, capsys, measure):
     assert main(argv + ["--budget", "34"]) == 0
 
 
+@pytest.mark.parametrize("measure", ["curFirstApprox", "runupExpect"])
+def test_drawdown_coefficient_budget_edges(game_file, capsys, measure):
+    # N=4, K=3: the drawdown families and the small-scale topping check of
+    # eval enumerate the 4^3 = 64 paths
+    for command in (["surface", GRID], ["eval", "--phi=0.1,0.1"]):
+        argv = [command[0], game_file, "--measure", measure, "--K", "3", command[1]]
+        assert main(argv + ["--budget", "63"]) == 2
+        assert main(argv + ["--budget", "64"]) == 0
+
+
 @pytest.mark.parametrize(
     "measure, sign",
     [("down", 1.0), ("downFirstApprox", -1.0), ("upExpect", 1.0)],
