@@ -256,6 +256,8 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     path = args.input
     matrix = _load_matrix_input(path, args.probs)
+    if args.samples < 0:
+        raise ValidationError("samples must be >= 0")
     gate = verify.assumption_gate(matrix)
     if not gate.satisfied:
         print(f"assumption: FAIL, direction theta={_fmt_vec(gate.direction)}")

@@ -58,9 +58,9 @@ from .path_engine import (
 )
 from .trade_core import (
     BOUNDARY_TOL,
+    RANK_RTOL,
     TradeMatrix,
     as_portions,
-    matrix_rank,
     require_interior,
 )
 
@@ -665,12 +665,12 @@ def span_diagnostic(matrix: TradeMatrix, grid: int = 360, seed: int = 0) -> Span
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((grid, m))
         thetas = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    failures = []
-    for j, theta in enumerate(thetas):
-        active = matrix.returns[matrix.returns @ theta != 0.0]
-        if active.shape[0] == 0 or matrix_rank(active) < m:
-            failures.append(j)
-    return SpanDiagnostic(not failures, len(thetas), tuple(failures))
+    # one stacked SVD: zeroing the rows with zero projection keeps the singular
+    # values of the active rows; the rank rule is that of matrix_rank
+    active = np.where(matrix.returns @ thetas[:, :, None] != 0.0, matrix.returns, 0.0)
+    sv = np.linalg.svd(active, compute_uv=False)
+    failures = tuple(np.flatnonzero((sv > RANK_RTOL * sv[:, :1]).sum(axis=1) < m).tolist())
+    return SpanDiagnostic(not failures, len(thetas), failures)
 
 
 def hyperplane_directions(

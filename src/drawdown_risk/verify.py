@@ -3,12 +3,13 @@
 Each suite draws its own points from a seeded generator, checks one family
 of properties (sum identities, orderings, convexity, homogeneity, ray
 monotonicity, small-scale equalities, topping points, row span), and reports
-pass/fail counts.  The suites deliberately evaluate each quantity by two
-routes where the design provides them (count form against path form,
-definition against running-maximum form), so they double as an end-to-end
-cross-check of the library.  The topping suite checks every path of a point
-at once on the digit blocks of ``path_engine``; no suite loops over paths in
-Python.
+pass/fail counts, formatting a failure note only when it is kept.  Quantities
+are evaluated by two routes where the design provides them (count form against
+path form, definition against running-maximum form), so the suites double as
+an end-to-end cross-check.  A suite takes each of the four measures at all its
+points from one ``risk_measures.evaluate_many`` call; the samplers, path forms,
+coefficient forms and small-scale checks run per point, and the topping suite
+checks all paths of a point at once on the digit blocks of ``path_engine``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import path_engine, risk_measures
+from .errors import ValidationError
 from .trade_core import AdmissibleSet, TradeMatrix, check_no_risk_free, log_gamma_mean
 
 #: Tolerances used across the suites.
@@ -45,13 +47,14 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def record(self, condition: bool, note: str = "") -> None:
+    def record(self, condition: bool, note: str = "", *args) -> None:
+        """Count one check; a failure keeps ``note.format(*args)``, up to 8 notes."""
         if condition:
             self.passed += 1
         else:
             self.failed += 1
             if note and len(self.notes) < 8:
-                self.notes.append(note)
+                self.notes.append(note.format(*args) if args else note)
 
 
 def sample_interior(
@@ -95,26 +98,39 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def _count_values(matrix: TradeMatrix, fns, points, draws: int, budget: int | None) -> np.ndarray:
+    """Values of each of ``fns``, some of ``_MEASURES``, at every row of ``points``: (F, G)."""
+    kinds = [_KINDS[fn.__name__] for fn in fns]
+    values = np.array([risk_measures.evaluate_many(matrix, kind, points, draws, budget)
+                       for kind in kinds])
+    assert not np.isinf(values).any(), "sentinel at a point that is not interior"
+    return values
+
+
 def suite_identities(
     matrix: TradeMatrix, draws: int, samples: int, rng: np.random.Generator,
     budget: int | None = None,
 ) -> SuiteResult:
     """Sum identities and count-form versus path-form agreement."""
     res = SuiteResult("identities")
-    for phi in sample_interior(matrix, rng, samples):
-        target = draws * log_gamma_mean(matrix, phi)
-        tol = IDENTITY_RTOL * max(1.0, abs(target))
-        eu = risk_measures.expected_uptrade(matrix, phi, draws, budget)
-        ed = risk_measures.expected_downtrade(matrix, phi, draws, budget)
-        res.record(abs(eu + ed - target) <= tol, f"terminal split at {phi}")
-        ec = risk_measures.expected_current_drawdown(matrix, phi, draws, budget)
-        er = risk_measures.expected_runup(matrix, phi, draws, budget)
-        res.record(abs(ec + er - target) <= tol, f"drawdown split at {phi}")
-        count_form = risk_measures.rho_down(matrix, phi, draws, budget)
-        res.record(
-            abs(count_form + ed) <= IDENTITY_RTOL * max(1.0, abs(ed)),
-            f"count form vs path form at {phi}",
-        )
+    phis = sample_interior(matrix, rng, samples)
+    # path forms first: a path budget error comes before a count budget error
+    forms = [(
+        draws * log_gamma_mean(matrix, phi),
+        risk_measures.expected_uptrade(matrix, phi, draws, budget),
+        risk_measures.expected_downtrade(matrix, phi, draws, budget),
+        risk_measures.expected_current_drawdown(matrix, phi, draws, budget),
+        risk_measures.expected_runup(matrix, phi, draws, budget),
+    ) for phi in phis]
+    target, eu, ed, ec, er = np.reshape(forms, (-1, 5)).T
+    (rd,) = _count_values(matrix, _MEASURES[:1], phis, draws, budget)
+    tol = IDENTITY_RTOL * np.maximum(1.0, np.abs(target))
+    checks = (np.abs(eu + ed - target) <= tol, np.abs(ec + er - target) <= tol,
+              np.abs(rd + ed) <= IDENTITY_RTOL * np.maximum(1.0, np.abs(ed)))
+    notes = ("terminal split at {}", "drawdown split at {}", "count form vs path form at {}")
+    for phi, row in zip(phis, zip(*checks)):
+        for ok, note in zip(row, notes):
+            res.record(ok, note, phi)
     return res
 
 
@@ -124,37 +140,34 @@ def suite_ordering(
 ) -> SuiteResult:
     """Upper-bound chains and the orderings between the four measures."""
     res = SuiteResult("ordering")
-    for phi in sample_interior(matrix, rng, samples):
+    phis = sample_interior(matrix, rng, samples)
+    forms, rescaled = [], []
+    for phi in phis:
         s = float(np.linalg.norm(phi))
         theta = phi / s
-        ed = risk_measures.expected_downtrade(matrix, phi, draws, budget)
-        d1 = risk_measures.d_first_approx(matrix, s, theta, draws, budget)
-        d2 = risk_measures.d_second_approx(matrix, s, theta, draws, budget)
-        res.record(
-            ed <= d1 + ORDER_SLACK and d1 <= d2 + ORDER_SLACK and d2 <= ORDER_SLACK,
-            f"terminal chain at {phi}",
-        )
-        ec = risk_measures.expected_current_drawdown(matrix, phi, draws, budget)
-        c1 = risk_measures.d_cur_first_approx(matrix, s, theta, draws, budget)
-        c2 = risk_measures.d_cur_second_approx(matrix, s, theta, draws, budget)
-        res.record(
-            ec <= c1 + ORDER_SLACK and c1 <= c2 + ORDER_SLACK and c2 <= ORDER_SLACK,
-            f"drawdown chain at {phi}",
-        )
-        rd = risk_measures.rho_down(matrix, phi, draws, budget)
-        rc = risk_measures.rho_cur(matrix, phi, draws, budget)
-        rdx = risk_measures.rho_down_x(matrix, phi, draws, budget)
-        rcx = risk_measures.rho_cur_x(matrix, phi, draws, budget)
-        chain = (
-            rc >= rd - ORDER_SLACK
-            and rd >= -d1 - ORDER_SLACK
-            and -d1 >= rdx - ORDER_SLACK
-            and rcx >= rdx - ORDER_SLACK
-            and rc >= -c1 - ORDER_SLACK
-            and -c1 >= rcx - ORDER_SLACK
-            and rdx >= -ORDER_SLACK
-        )
-        res.record(chain, f"measure ordering at {phi}")
+        forms.append((
+            risk_measures.expected_downtrade(matrix, phi, draws, budget),
+            risk_measures.d_first_approx(matrix, s, theta, draws, budget),
+            risk_measures.expected_current_drawdown(matrix, phi, draws, budget),
+            risk_measures.d_cur_first_approx(matrix, s, theta, draws, budget),
+        ))
+        rescaled.append(s * theta)
+    ed, d1, ec, c1 = np.reshape(forms, (-1, 4)).T
+    # the second approximations are -downX and -curX at s * theta
+    rescaled = np.reshape(rescaled, phis.shape)
+    d2, c2 = -_count_values(matrix, _MEASURES[1::2], rescaled, draws, budget)
+    rd, rdx, rc, rcx = _count_values(matrix, _MEASURES, phis, draws, budget)
+    slack = ORDER_SLACK
+    checks = (
+        (ed <= d1 + slack) & (d1 <= d2 + slack) & (d2 <= slack),
+        (ec <= c1 + slack) & (c1 <= c2 + slack) & (c2 <= slack),
+        (rc >= rd - slack) & (rd >= -d1 - slack) & (-d1 >= rdx - slack) & (rcx >= rdx - slack)
+        & (rc >= -c1 - slack) & (-c1 >= rcx - slack) & (rdx >= -slack),
+    )
+    notes = ("terminal chain at {}", "drawdown chain at {}", "measure ordering at {}")
+    for phi, row in zip(phis, zip(*checks)):
+        for ok, note in zip(row, notes):
+            res.record(ok, note, phi)
     return res
 
 
@@ -164,6 +177,8 @@ _MEASURES = (
     risk_measures.rho_cur,
     risk_measures.rho_cur_x,
 )
+#: Count-form kind of each function in ``_MEASURES``, read by its name.
+_KINDS = dict(zip((fn.__name__ for fn in _MEASURES), ("down", "downX", "cur", "curX")))
 
 
 def suite_convexity(
@@ -174,12 +189,11 @@ def suite_convexity(
     res = SuiteResult("convexity")
     a = sample_interior(matrix, rng, samples)
     b = sample_interior(matrix, rng, samples)
-    for pa, pb in zip(a, b):
-        mid = 0.5 * (pa + pb)
-        for fn in _MEASURES:
-            lhs = fn(matrix, mid, draws, budget)
-            rhs = 0.5 * (fn(matrix, pa, draws, budget) + fn(matrix, pb, draws, budget))
-            res.record(lhs <= rhs + CONVEXITY_TOL, f"{fn.__name__} midpoint")
+    values = _count_values(matrix, _MEASURES, np.concatenate([0.5 * (a + b), a, b]), draws, budget)
+    mid, va, vb = values.reshape(4, 3, -1).swapaxes(0, 1)
+    for row in (mid <= 0.5 * (va + vb) + CONVEXITY_TOL).T:
+        for fn, ok in zip(_MEASURES, row):
+            res.record(ok, "{} midpoint", fn.__name__)
     return res
 
 
@@ -189,15 +203,17 @@ def suite_homogeneity(
 ) -> SuiteResult:
     """Positive homogeneity of the linearized measures."""
     res = SuiteResult("homogeneity")
-    for phi in sample_interior(matrix, rng, samples):
-        for fn in (risk_measures.rho_down_x, risk_measures.rho_cur_x):
-            base = fn(matrix, phi, draws, budget)
-            for t in (0.5, 2.0, 10.0):
-                scaled = fn(matrix, t * phi, draws, budget)
-                res.record(
-                    abs(scaled - t * base) <= HOMOGENEITY_RTOL * max(1.0, abs(t * base)),
-                    f"{fn.__name__} at t={t}",
-                )
+    phis = sample_interior(matrix, rng, samples)
+    fns, factors = _MEASURES[1::2], (0.5, 2.0, 10.0)
+    stacked = np.concatenate([phis] + [t * phis for t in factors])
+    values = _count_values(matrix, fns, stacked, draws, budget).reshape(2, 4, -1)
+    scaled = np.array(factors)[:, None] * values[:, :1]
+    tol = HOMOGENEITY_RTOL * np.maximum(1.0, np.abs(scaled))
+    homogeneous = np.abs(values[:, 1:] - scaled) <= tol
+    for checks in homogeneous.transpose(2, 0, 1):
+        for fn, row in zip(fns, checks):
+            for t, ok in zip(factors, row):
+                res.record(ok, "{} at t={}", fn.__name__, t)
     return res
 
 
@@ -209,17 +225,16 @@ def suite_monotonicity(
     res = SuiteResult("monotonicity")
     region = AdmissibleSet(matrix)
     rays = min(64, samples) if samples else 64
-    for theta in sample_directions(matrix, rng, rays):
-        smax = region.max_radius(theta)
-        if not math.isfinite(smax):
-            smax = 1.0
-        scales = np.linspace(0.1, 0.9, 5) * smax
-        for fn in _MEASURES:
-            values = [fn(matrix, s * theta, draws, budget) for s in scales]
-            strict = all(
-                v2 > v1 + MONOTONE_MARGIN for v1, v2 in zip(values, values[1:])
-            )
-            res.record(strict, f"{fn.__name__} along {theta}")
+    dirs = sample_directions(matrix, rng, rays)
+    radii = np.array([region.max_radius(theta) for theta in dirs])
+    radii[~np.isfinite(radii)] = 1.0
+    scales = np.linspace(0.1, 0.9, 5) * radii[:, None]
+    points = (scales[:, :, None] * dirs[:, None, :]).reshape(-1, matrix.n_systems)
+    values = _count_values(matrix, _MEASURES, points, draws, budget).reshape(4, rays, 5)
+    strict = np.all(values[..., 1:] > values[..., :-1] + MONOTONE_MARGIN, axis=2)
+    for theta, row in zip(dirs, strict.T):
+        for fn, ok in zip(_MEASURES, row):
+            res.record(ok, "{} along {}", fn.__name__, theta)
     return res
 
 
@@ -241,15 +256,15 @@ def suite_small_s(
             ok_cur = risk_measures.small_s_cur_verified(matrix, s, theta, draws, budget)
             if ok_down and ok_cur:
                 break
-        res.record(ok_down, f"terminal sign pattern along {theta}")
-        res.record(ok_cur, f"topping pattern along {theta}")
+        res.record(ok_down, "terminal sign pattern along {}", theta)
+        res.record(ok_cur, "topping pattern along {}", theta)
         phi = s * theta
         ed = risk_measures.expected_downtrade(matrix, phi, draws, budget)
         d1 = risk_measures.d_first_approx(matrix, s, theta, draws, budget)
-        res.record(abs(ed - d1) <= SMALL_S_TOL, f"terminal equality along {theta}")
+        res.record(abs(ed - d1) <= SMALL_S_TOL, "terminal equality along {}", theta)
         ec = risk_measures.expected_current_drawdown(matrix, phi, draws, budget)
         c1 = risk_measures.d_cur_first_approx(matrix, s, theta, draws, budget)
-        res.record(abs(ec - c1) <= SMALL_S_TOL, f"drawdown equality along {theta}")
+        res.record(abs(ec - c1) <= SMALL_S_TOL, "drawdown equality along {}", theta)
     return res
 
 
@@ -292,9 +307,9 @@ def suite_topping(
             # running-maximum form of the current drawdown
             alt = z - np.maximum(0.0, walk.max(axis=1))
             ok_oracle &= bool(np.all(np.abs(dc - alt) <= 1e-12))
-        res.record(ok_order, f"topping order at {phi}")
-        res.record(ok_ident, f"pathwise identities at {phi}")
-        res.record(ok_oracle, f"running-maximum form at {phi}")
+        res.record(ok_order, "topping order at {}", phi)
+        res.record(ok_ident, "pathwise identities at {}", phi)
+        res.record(ok_oracle, "running-maximum form at {}", phi)
     return res
 
 
@@ -302,7 +317,7 @@ def suite_span(matrix: TradeMatrix, grid: int = 360) -> SuiteResult:
     """Row-span diagnostic over a direction grid (reported, coarse shape check)."""
     res = SuiteResult("span-diagnostic")
     diag = risk_measures.span_diagnostic(matrix, grid)
-    res.record(diag.passed, f"{len(diag.failures)} of {diag.checked} directions fail")
+    res.record(diag.passed, "{} of {} directions fail", len(diag.failures), diag.checked)
     return res
 
 
@@ -314,8 +329,10 @@ def run_suites(
     budget: int | None = None,
 ) -> list[SuiteResult]:
     """Run every suite with one seeded generator; assumes the structural check passed."""
+    if samples < 0:
+        raise ValidationError("samples must be >= 0")
     rng = np.random.default_rng(seed)
-    results = [
+    return [
         suite_identities(matrix, draws, samples, rng, budget),
         suite_ordering(matrix, draws, samples, rng, budget),
         suite_convexity(matrix, draws, samples, rng, budget),
@@ -325,7 +342,6 @@ def run_suites(
         suite_topping(matrix, draws, samples, rng, budget),
         suite_span(matrix),
     ]
-    return results
 
 
 def assumption_gate(matrix: TradeMatrix):

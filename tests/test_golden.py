@@ -4,6 +4,10 @@ The digests were captured from the CLI before the linear-walk sign rule was
 made exact.  They cover outputs that rule must not move: the verification
 battery on three fixture games, and the default 121x121 surfaces of the four
 count-form measures, none of which reads the sign of the linear walk.
+
+The exit-code digests were captured before the verify suites were batched:
+a game that fails the span diagnostic, a three-system game, and a market file
+that adds the bridge-consistency line.
 """
 
 from __future__ import annotations
@@ -23,6 +27,18 @@ GAME_FILES = {
     "reference": {"returns": EXAMPLE_RETURNS, "probs": EXAMPLE_PROBS},
     "dependent": {"returns": DEPENDENT_RETURNS, "probs": DEPENDENT_PROBS},
     "flat": {"returns": FLAT_SEGMENT_RETURNS},
+    "axis": {"returns": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]},
+    "three": {
+        "returns": [[0.5, -0.2, 0.3], [-0.4, 0.6, 0.1], [0.2, 0.3, -0.7],
+                    [-0.35, -0.6, 0.25], [0.1, 0.2, 0.4]],
+        "probs": [0.3, 0.25, 0.2, 0.15, 0.1],
+    },
+    "market": {
+        "R": 1.0,
+        "S0": [1.0, 1.0],
+        "scenarios": [[2.0, 2.0], [0.5, 2.0], [2.0, 0.0], [0.5, 0.0]],
+        "probs": EXAMPLE_PROBS,
+    },
 }
 
 VERIFY_DIGESTS = {
@@ -32,6 +48,15 @@ VERIFY_DIGESTS = {
     ("dependent", 1): "9fd47d497443fd33fc3eeea96fb5b3406ec002145c61f8b2cd7988eb237a7675",
     ("flat", 0): "9debc07c728bbb7c5c1438baf41692bcb03b170d316bf1ec1015edc5f8899fcb",
     ("flat", 1): "9debc07c728bbb7c5c1438baf41692bcb03b170d316bf1ec1015edc5f8899fcb",
+}
+
+VERIFY_EXIT_DIGESTS = {
+    ("axis", 0): (3, "72ec30871709cfea8582580188114292dcabf93fa7220c26b6555ab40152a2f1"),
+    ("axis", 1): (3, "72ec30871709cfea8582580188114292dcabf93fa7220c26b6555ab40152a2f1"),
+    ("three", 0): (0, "212647d0489089c6fd2916596215b8e5b236d2b7ca6784bf0d8312a90ff072f3"),
+    ("three", 1): (0, "212647d0489089c6fd2916596215b8e5b236d2b7ca6784bf0d8312a90ff072f3"),
+    ("market", 0): (0, "0bbe7f51c00fdacf2849b2c1342fb53da3f1622788e70b2e9c250a004720a974"),
+    ("market", 1): (0, "0bbe7f51c00fdacf2849b2c1342fb53da3f1622788e70b2e9c250a004720a974"),
 }
 
 SURFACE_DIGESTS = {
@@ -83,3 +108,9 @@ def test_surface_stdout_digest(tmp_path, measure, draws):
     argv = ["surface", write_game(tmp_path, "reference"), "--measure", measure,
             "--K", str(draws)]
     assert stdout_digest(argv) == (0, SURFACE_DIGESTS[measure, draws])
+
+
+@pytest.mark.parametrize("name, seed", sorted(VERIFY_EXIT_DIGESTS))
+def test_verify_exit_and_stdout_digest(tmp_path, name, seed):
+    argv = ["verify", write_game(tmp_path, name), "--K", "3", "--seed", str(seed)]
+    assert stdout_digest(argv) == VERIFY_EXIT_DIGESTS[name, seed]
