@@ -253,23 +253,34 @@ def linear_signs(returns, theta, counts, values=None, scale=None, steps=0) -> np
 def linear_topping_blocks(returns: np.ndarray, digits: np.ndarray, theta) -> np.ndarray:
     """First topping points of the linear equity curves of a path block, exactly.
 
-    From the float argmax of the walk S_0 = 0, S_1..S_K, ``linear_signs``
-    compares the candidate with every step and moves it to the first step
-    exactly higher until none is; the topping point is the first step
-    exactly equal to that maximum, 0 when S_0 is.
+    From the float argmax of the walk S_0 = 0, S_1..S_K, every step is compared
+    with the candidate, which moves to the first step exactly higher until
+    none is; the topping point is the first step exactly equal to that
+    maximum, 0 when S_0 is.  The float filter of ``linear_signs`` decides the
+    sign of S_top - S_j first; integer counts are built, and the exact rule
+    run, only for the entries it leaves undecided.
     """
-    walk = np.vstack([np.zeros(len(digits)), linear_prefix_blocks(returns, digits, theta).T])
-    counts = np.zeros((len(returns),) + walk.shape, dtype=np.min_scalar_type(-len(walk)))
-    hits = digits.T == np.arange(len(returns))[:, None, None]
-    np.cumsum(hits, axis=1, dtype=counts.dtype, out=counts[:, 1:])
+    returns, theta = np.asarray(returns, dtype=float), np.asarray(theta, dtype=float)
     # every prefix sum of a path has at most its whole magnitude
-    scale = 2.0 * ((np.abs(returns) @ np.abs(theta)) @ counts[:, -1])
+    scale = 2.0 * (np.abs(returns) @ np.abs(theta))[digits].sum(axis=1)
+    walk = np.vstack([np.zeros(len(digits)), linear_prefix_blocks(returns, digits, theta).T])
+    bound = _EPS * (sum(returns.shape) + 2 + len(walk)) * scale + _TINY
     paths, top = np.arange(len(digits)), walk.argmax(axis=0)
     while True:
-        signs = linear_signs(
-            returns, theta, counts[:, top, paths][:, None] - counts,
-            walk[top, paths] - walk, scale, len(walk),
-        )
+        values = walk[top, paths] - walk
+        signs = np.sign(values)
+        near = ~(np.abs(values) > bound)
+        signs[top, paths], near[top, paths] = 0.0, False  # the candidate is exactly level
+        step, path = np.nonzero(near)
+        if len(path):
+            cols, col = np.unique(path, return_inverse=True)
+            hits = digits[cols].T == np.arange(len(returns))[:, None, None]
+            counts = np.zeros((len(returns), len(walk), len(cols)), np.min_scalar_type(-len(walk)))
+            np.cumsum(hits, axis=1, dtype=counts.dtype, out=counts[:, 1:])
+            signs[step, path] = linear_signs(
+                returns, theta, counts[:, top[path], col] - counts[:, step, col],
+                values[step, path], scale[path], len(walk),
+            )
         higher = signs < 0
         if not higher.any():
             return np.argmax(signs == 0, axis=0)

@@ -28,6 +28,8 @@ families group paths, by the exact sign rule of ``path_engine``.  N^K paths
 are enumerated only for the drawdown families (``curFirstApprox``,
 ``runupExpect``), ``small_s_cur_verified`` and the ``expected_*`` routes,
 which weight the pathwise quantities of ``path_engine`` over path blocks.
+``evaluate_measure`` with ``check_small_s`` enumerates them once for a
+drawdown family's value and its regime flag together.
 """
 
 from __future__ import annotations
@@ -343,23 +345,39 @@ def drawdown_coefficients(
     second table counts occurrences up to and including step l.
     """
     theta = _unit_direction(matrix, theta)
-    lam, ups = np.zeros((2, draws + 1, matrix.n_periods))
-    for digits in _path_digit_blocks(matrix.n_periods, draws, budget):
-        w = np.prod(matrix.probs[digits], axis=1)
-        top = linear_topping_blocks(matrix.returns, digits, theta)
-        for level in range(draws + 1):
-            mask = top == level
-            if not mask.any():
-                continue
-            sub, wsub = digits[mask], w[mask]
-            for pos in range(level, draws):
-                np.add.at(lam[level], sub[:, pos], wsub)
-            for pos in range(level):
-                np.add.at(ups[level], sub[:, pos], wsub)
+    lam, ups, _ = _topping_pass(matrix, theta, draws, budget)
     return (
         CoefficientTable("Lambda", lam, theta, draws),
         CoefficientTable("Upsilon", ups, theta, draws),
     )
+
+
+def _topping_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, rows=None):
+    """Lambda and Upsilon tables from one pass over the path blocks, and a flag.
+
+    Each path weight is added once per step, into the row of its linear
+    topping point: Lambda for the steps after it, Upsilon for the rest.  Given
+    the per-row log holding period returns ``rows``, the flag says whether the
+    compounded topping points agree with the linear ones on every path; else
+    it is None.
+    """
+    n = matrix.n_periods
+    lam, ups = np.zeros((2, draws + 1, n))
+    flat_lam, flat_ups = lam.reshape(-1), ups.reshape(-1)
+    agree = None if rows is None else True
+    for digits in _path_digit_blocks(n, draws, budget):
+        w = np.prod(matrix.probs[digits], axis=1)
+        top = linear_topping_blocks(matrix.returns, digits, theta)
+        for pos in range(draws):
+            key = top * n + digits[:, pos]
+            after = top <= pos
+            np.add.at(flat_lam, key[after], w[after])
+            after = ~after
+            np.add.at(flat_ups, key[after], w[after])
+        if agree:
+            log_top = topping_from_prefix(np.cumsum(rows[digits], axis=1), TOPPING_TIE_TOL)
+            agree = bool(np.all(log_top == top))
+    return lam, ups, agree
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +424,23 @@ def rho_cur_x(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) -
 
 
 def _coefficient_form(matrix, s, theta, draws, budget, *, drawdown, loss) -> float:
-    """Sum of c_i * log(1 + s * <t_i, theta>) over nonzero D, U, Lambda or Upsilon totals.
-
-    Where a log term is undefined the loss side (D, Lambda) is -inf and the
-    gain side raises ``DomainError``.
-    """
+    """``_log_form`` of the D, U, Lambda or Upsilon totals at a direction."""
     theta = _unit_direction(matrix, theta, s)
     if drawdown:
         lose, gain = drawdown_coefficients(matrix, theta, draws, budget)
     else:
         gain, lose = updown_coefficients(matrix, theta, draws, budget)
+    return _log_form(matrix, s, theta, (lose if loss else gain).totals(), loss)
+
+
+def _log_form(matrix, s, theta, totals, loss) -> float:
+    """Sum of c_i * log(1 + s * <t_i, theta>) over the nonzero totals c_i.
+
+    Where a log term is undefined the loss side (D, Lambda) is -inf and the
+    gain side raises ``DomainError``.
+    """
     total = 0.0
-    for c, d in zip((lose if loss else gain).totals(), s * matrix.dots(theta)):
+    for c, d in zip(totals, s * matrix.dots(theta)):
         if c == 0.0:
             continue
         if d <= -1.0:
@@ -426,6 +449,16 @@ def _coefficient_form(matrix, s, theta, draws, budget, *, drawdown, loss) -> flo
             raise DomainError("log-term argument is nonpositive; point is not admissible")
         total += c * math.log1p(d)
     return float(total)
+
+
+def _checked_drawdown_form(matrix, s, theta, draws, budget, *, loss) -> tuple[float, bool]:
+    """``d_cur_first_approx`` or ``u_run_expect`` with ``small_s_cur_verified``, in one pass."""
+    theta = _unit_direction(matrix, theta, s)
+    rows = log_hpr_rows(matrix, s * theta)
+    admissible = not np.any(np.isneginf(rows))
+    lam, ups, agree = _topping_pass(matrix, theta, draws, budget, rows if admissible else None)
+    value = _log_form(matrix, s, theta, (lam if loss else ups).sum(axis=0), loss)
+    return value, admissible and agree
 
 
 def d_first_approx(
@@ -621,19 +654,19 @@ def evaluate_measure(
         if scale == 0.0:
             return MeasureEvaluation(kind, 0.0, True if check_small_s else None)
         theta = arr / scale
-        if kind is MeasureKind.DOWN_FIRST_APPROX:
-            value = d_first_approx(matrix, scale, theta, draws, budget)
-        elif kind is MeasureKind.CUR_FIRST_APPROX:
-            value = d_cur_first_approx(matrix, scale, theta, draws, budget)
-        elif kind is MeasureKind.UP_EXPECT:
-            value = u_expect(matrix, scale, theta, draws, budget)
-        else:
-            value = u_run_expect(matrix, scale, theta, draws, budget)
-        if check_small_s:
-            if kind in (MeasureKind.DOWN_FIRST_APPROX, MeasureKind.UP_EXPECT):
+        if kind in (MeasureKind.DOWN_FIRST_APPROX, MeasureKind.UP_EXPECT):
+            form = d_first_approx if kind is MeasureKind.DOWN_FIRST_APPROX else u_expect
+            value = form(matrix, scale, theta, draws, budget)
+            if check_small_s:
                 flag = small_s_down_verified(matrix, scale, theta, draws, budget)
-            else:
-                flag = small_s_cur_verified(matrix, scale, theta, draws, budget)
+        elif check_small_s:
+            # the value and the regime flag read the same linear topping points
+            value, flag = _checked_drawdown_form(
+                matrix, scale, theta, draws, budget, loss=kind is MeasureKind.CUR_FIRST_APPROX
+            )
+        else:
+            form = d_cur_first_approx if kind is MeasureKind.CUR_FIRST_APPROX else u_run_expect
+            value = form(matrix, scale, theta, draws, budget)
     return MeasureEvaluation(kind, float(value), flag)
 
 
