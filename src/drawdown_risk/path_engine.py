@@ -131,6 +131,18 @@ def twr_segment(matrix: TradeMatrix, phi, omega, first: int, last: int) -> float
     return float(out)
 
 
+def prefix_chunks(rows: np.ndarray, digits: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Prefix log sums of a path block for chunks of points: (first point, (P, B, K)).
+
+    ``rows`` holds one row of per-row logs per point, (G, N).  A chunk holds
+    max(1, _BLOCK // B) points, so it is no larger than a full block of one
+    point, and a point's sums are those of ``np.cumsum(row[digits], axis=1)``.
+    """
+    size = max(1, _BLOCK // len(digits))
+    for g0 in range(0, len(rows), size):
+        yield g0, np.cumsum(rows[g0 : g0 + size, digits], axis=2)
+
+
 def _path_prefix(matrix: TradeMatrix, phi, omega) -> np.ndarray:
     rows = log_hpr_rows(matrix, phi)
     return np.cumsum(rows[_omega_index(matrix, omega)])[None, :]
@@ -245,9 +257,27 @@ def linear_signs(returns, theta, counts, values=None, scale=None, steps=0) -> np
         signs[near] = 0.0
         near[near] = counts[:, near].any(axis=0)  # a zero vector is exactly 0
         if near.any():
-            exact = np.array(_exact_steps(returns, theta.tolist())[0], dtype=object)
-            signs[near] = [(v > 0) - (v < 0) for v in exact @ counts[:, near].astype(object)]
+            signs[near] = _exact_signs(returns, theta, counts[:, near])
     return signs
+
+
+def _exact_signs(returns, theta, cols) -> np.ndarray:
+    """Exact signs of sum_i x_i <t_i, theta> for the columns x of ``cols``, once per distinct x.
+
+    Each column is keyed by one int64, its entries as digits of a mixed radix
+    of per-row spans; when that key could overflow every column is evaluated.
+    """
+    cols = cols.astype(np.int64)
+    lo = cols.min(axis=1)
+    spans = cols.max(axis=1) - lo + 1
+    first = inverse = slice(None)
+    if math.prod(spans.tolist()) < 2**63:
+        radix = np.cumprod(np.concatenate([[1], spans[:-1]]))
+        _, first, inverse = np.unique(radix @ (cols - lo[:, None]), return_index=True,
+                                      return_inverse=True)
+    exact = np.array(_exact_steps(returns, theta.tolist())[0], dtype=object)
+    signs = np.array([(v > 0) - (v < 0) for v in exact @ cols[:, first].astype(object)])
+    return signs[inverse]
 
 
 def linear_topping_blocks(returns: np.ndarray, digits: np.ndarray, theta) -> np.ndarray:

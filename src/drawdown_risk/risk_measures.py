@@ -26,10 +26,12 @@ verification, and diagnostics for the known discontinuity of the first
 approximation.  The terminal families split count vectors, and the drawdown
 families group paths, by the exact sign rule of ``path_engine``.  N^K paths
 are enumerated only for the drawdown families (``curFirstApprox``,
-``runupExpect``), ``small_s_cur_verified`` and the ``expected_*`` routes,
-which weight the pathwise quantities of ``path_engine`` over path blocks.
-``evaluate_measure`` with ``check_small_s`` enumerates them once for a
-drawdown family's value and its regime flag together.
+``runupExpect``), ``small_s_cur_verified`` and the path expectations, which
+weight the pathwise quantities of ``path_engine`` over path blocks.  The
+``expected_*`` routes are one-point views of ``_path_expectations``, one
+block pass for many points and quantities.  ``evaluate_measure`` with
+``check_small_s`` enumerates the paths once for a drawdown family's value and
+its regime flag together.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .path_engine import (
     linear_topping_blocks,
     log_hpr_rows,
     loss_from_prefix,
+    prefix_chunks,
     runup_from_prefix,
     topping_from_prefix,
 )
@@ -543,13 +546,30 @@ def expected_runup(
 
 
 def _path_expectation(matrix, phi, draws, budget, quantity) -> float:
-    """Probability-weighted sum of a pathwise quantity of prefix blocks."""
-    rows = log_hpr_rows(matrix, as_portions(matrix, phi))
-    acc = 0.0
+    """``_path_expectations`` of one quantity at one point."""
+    return float(_path_expectations(matrix, (phi,), draws, budget, (quantity,))[0, 0])
+
+
+def _path_expectations(matrix, phis, draws, budget, quantities) -> np.ndarray:
+    """Probability-weighted sums of pathwise quantities at each of ``phis``: (Q, G).
+
+    One pass over the path blocks serves every point and every ``*_from_prefix``
+    quantity, with each prefix block built once per chunk of points.  A value
+    gets one 1-D dot per block, summed in block order, so it does not depend on
+    the other points.  No points, no enumeration.
+    """
+    rows = np.array([log_hpr_rows(matrix, as_portions(matrix, phi)) for phi in phis])
+    out = np.zeros((len(quantities), len(rows)))
+    if not len(rows):
+        return out
     for digits in _path_digit_blocks(matrix.n_periods, draws, budget):
         w = np.prod(matrix.probs[digits], axis=1)
-        acc += float(w @ quantity(np.cumsum(rows[digits], axis=1)))
-    return acc
+        for g0, prefix in prefix_chunks(rows, digits):
+            flat = prefix.reshape(-1, draws)
+            for q, quantity in enumerate(quantities):
+                for g, values in enumerate(quantity(flat).reshape(len(prefix), -1), g0):
+                    out[q, g] += float(w @ values)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ pass/fail counts, formatting a failure note only when it is kept.  Quantities
 are evaluated by two routes where the design provides them (count form against
 path form, definition against running-maximum form), so the suites double as
 an end-to-end cross-check.  A suite takes each of the four measures at all its
-points from one ``risk_measures.evaluate_many`` call; the samplers, path forms,
-coefficient forms and small-scale checks run per point, and the topping suite
-checks all paths of a point at once on the digit blocks of ``path_engine``.
+points from one ``risk_measures.evaluate_many`` call, and its path-form
+expectations at all its points from one pass over the path blocks.  The
+topping suite checks all its points and paths in one pass over the digit
+blocks of ``path_engine``, with one exact linear topping call per point and
+block.  The seeded samplers, the coefficient forms and the small-scale regime
+checks still run per point.
 """
 
 from __future__ import annotations
@@ -114,15 +117,12 @@ def suite_identities(
     """Sum identities and count-form versus path-form agreement."""
     res = SuiteResult("identities")
     phis = sample_interior(matrix, rng, samples)
+    target = np.array([draws * log_gamma_mean(matrix, phi) for phi in phis])
     # path forms first: a path budget error comes before a count budget error
-    forms = [(
-        draws * log_gamma_mean(matrix, phi),
-        risk_measures.expected_uptrade(matrix, phi, draws, budget),
-        risk_measures.expected_downtrade(matrix, phi, draws, budget),
-        risk_measures.expected_current_drawdown(matrix, phi, draws, budget),
-        risk_measures.expected_runup(matrix, phi, draws, budget),
-    ) for phi in phis]
-    target, eu, ed, ec, er = np.reshape(forms, (-1, 5)).T
+    eu, ed, ec, er = risk_measures._path_expectations(matrix, phis, draws, budget, (
+        path_engine.gain_from_prefix, path_engine.loss_from_prefix,
+        path_engine.drawdown_from_prefix, path_engine.runup_from_prefix,
+    ))
     (rd,) = _count_values(matrix, _MEASURES[:1], phis, draws, budget)
     tol = IDENTITY_RTOL * np.maximum(1.0, np.abs(target))
     checks = (np.abs(eu + ed - target) <= tol, np.abs(ec + er - target) <= tol,
@@ -141,18 +141,19 @@ def suite_ordering(
     """Upper-bound chains and the orderings between the four measures."""
     res = SuiteResult("ordering")
     phis = sample_interior(matrix, rng, samples)
+    ed, ec = risk_measures._path_expectations(matrix, phis, draws, budget, (
+        path_engine.loss_from_prefix, path_engine.drawdown_from_prefix,
+    ))
     forms, rescaled = [], []
     for phi in phis:
         s = float(np.linalg.norm(phi))
         theta = phi / s
         forms.append((
-            risk_measures.expected_downtrade(matrix, phi, draws, budget),
             risk_measures.d_first_approx(matrix, s, theta, draws, budget),
-            risk_measures.expected_current_drawdown(matrix, phi, draws, budget),
             risk_measures.d_cur_first_approx(matrix, s, theta, draws, budget),
         ))
         rescaled.append(s * theta)
-    ed, d1, ec, c1 = np.reshape(forms, (-1, 4)).T
+    d1, c1 = np.reshape(forms, (-1, 2)).T
     # the second approximations are -downX and -curX at s * theta
     rescaled = np.reshape(rescaled, phis.shape)
     d2, c2 = -_count_values(matrix, _MEASURES[1::2], rescaled, draws, budget)
@@ -250,21 +251,26 @@ def suite_small_s(
     """
     res = SuiteResult("small-s")
     dirs = min(64, samples) if samples else 64
-    for theta in sample_directions(matrix, rng, dirs):
+    thetas = sample_directions(matrix, rng, dirs)
+    regimes = []
+    for theta in thetas:
         for s in SMALL_SCALES:
             ok_down = risk_measures.small_s_down_verified(matrix, s, theta, draws, budget)
             ok_cur = risk_measures.small_s_cur_verified(matrix, s, theta, draws, budget)
             if ok_down and ok_cur:
                 break
+        regimes.append((s, ok_down, ok_cur))
+    ed, ec = risk_measures._path_expectations(
+        matrix, [s * theta for theta, (s, _, _) in zip(thetas, regimes)], draws, budget,
+        (path_engine.loss_from_prefix, path_engine.drawdown_from_prefix),
+    )
+    for theta, (s, ok_down, ok_cur), ed_j, ec_j in zip(thetas, regimes, ed, ec):
         res.record(ok_down, "terminal sign pattern along {}", theta)
         res.record(ok_cur, "topping pattern along {}", theta)
-        phi = s * theta
-        ed = risk_measures.expected_downtrade(matrix, phi, draws, budget)
         d1 = risk_measures.d_first_approx(matrix, s, theta, draws, budget)
-        res.record(abs(ed - d1) <= SMALL_S_TOL, "terminal equality along {}", theta)
-        ec = risk_measures.expected_current_drawdown(matrix, phi, draws, budget)
+        res.record(abs(ed_j - d1) <= SMALL_S_TOL, "terminal equality along {}", theta)
         c1 = risk_measures.d_cur_first_approx(matrix, s, theta, draws, budget)
-        res.record(abs(ec - c1) <= SMALL_S_TOL, "drawdown equality along {}", theta)
+        res.record(abs(ec_j - c1) <= SMALL_S_TOL, "drawdown equality along {}", theta)
     return res
 
 
@@ -274,42 +280,48 @@ def suite_topping(
 ) -> SuiteResult:
     """Topping-point ordering, characterization, and pathwise identities.
 
-    Every path is checked at once, on digit blocks.  The pathwise quantities
-    come from the log1p prefix sums; their second routes, the terminal log
-    wealth z and the running-maximum form of the current drawdown, come from
-    the per-step logs of the compounded growth factors instead.
+    All points and paths are checked in one pass over the digit blocks, in
+    chunks of points, with the exact linear topping points taken one point at
+    a time.  The pathwise quantities come from the log1p prefix sums; their
+    second routes, the terminal log wealth z and the running-maximum form of
+    the current drawdown, come from the per-step logs of the compounded
+    growth factors instead.
     """
     res = SuiteResult("topping")
-    points = min(10, max(1, samples))
     n = matrix.n_periods
-    for phi in sample_interior(matrix, rng, points):
-        theta = phi / np.linalg.norm(phi)
-        logs = path_engine.log_hpr_rows(matrix, phi)
-        steps = np.array(
-            [math.log(path_engine.twr_segment(matrix, phi, (i,), 1, 1)) for i in range(1, n + 1)]
-        )
-        ok_order = ok_ident = ok_oracle = True
-        for digits in path_engine.iter_path_blocks(n, draws, budget):
-            prefix = np.cumsum(logs[digits], axis=1)
-            lstar = path_engine.topping_from_prefix(prefix, path_engine.TOPPING_TIE_TOL)
-            lhat = path_engine.linear_topping_blocks(matrix.returns, digits, theta)
-            ok_order &= bool(np.all(lstar <= lhat))
-            u = path_engine.gain_from_prefix(prefix)
-            d = path_engine.loss_from_prefix(prefix)
-            dc = path_engine.drawdown_from_prefix(prefix)
-            ur = path_engine.runup_from_prefix(prefix)
-            walk = np.cumsum(steps[digits], axis=1)
-            z = walk[:, -1]
-            ok_ident &= bool(np.all(
-                (np.abs(u + d - z) <= 1e-12) & (np.abs(dc + ur - z) <= 1e-12)
-                & (dc <= d + 1e-15) & (d <= 0.0)
+    phis = sample_interior(matrix, rng, min(10, max(1, samples)))
+    thetas = [phi / np.linalg.norm(phi) for phi in phis]
+    logs = np.array([path_engine.log_hpr_rows(matrix, phi) for phi in phis])
+    steps = np.array([
+        [math.log(path_engine.twr_segment(matrix, phi, (i,), 1, 1)) for i in range(1, n + 1)]
+        for phi in phis
+    ])
+    ok_order, ok_ident, ok_oracle = np.ones((3, len(phis)), dtype=bool)
+    for digits in path_engine.iter_path_blocks(n, draws, budget):
+        for g0, prefix in path_engine.prefix_chunks(logs, digits):
+            chunk = slice(g0, g0 + len(prefix))
+            flat = prefix.reshape(-1, draws)
+            lstar = path_engine.topping_from_prefix(flat, path_engine.TOPPING_TIE_TOL)
+            for g, top in enumerate(lstar.reshape(len(prefix), -1), g0):
+                lhat = path_engine.linear_topping_blocks(matrix.returns, digits, thetas[g])
+                ok_order[g] &= bool(np.all(top <= lhat))
+            u, d, dc, ur = (quantity(flat).reshape(len(prefix), -1) for quantity in (
+                path_engine.gain_from_prefix, path_engine.loss_from_prefix,
+                path_engine.drawdown_from_prefix, path_engine.runup_from_prefix,
             ))
+            walk = np.cumsum(steps[chunk, digits], axis=2)
+            z = walk[..., -1]
+            ok_ident[chunk] &= np.all(
+                (np.abs(u + d - z) <= 1e-12) & (np.abs(dc + ur - z) <= 1e-12)
+                & (dc <= d + 1e-15) & (d <= 0.0), axis=1,
+            )
             # running-maximum form of the current drawdown
-            alt = z - np.maximum(0.0, walk.max(axis=1))
-            ok_oracle &= bool(np.all(np.abs(dc - alt) <= 1e-12))
-        res.record(ok_order, "topping order at {}", phi)
-        res.record(ok_ident, "pathwise identities at {}", phi)
-        res.record(ok_oracle, "running-maximum form at {}", phi)
+            alt = z - np.maximum(0.0, walk.max(axis=2))
+            ok_oracle[chunk] &= np.all(np.abs(dc - alt) <= 1e-12, axis=1)
+    for phi, order, ident, oracle in zip(phis, ok_order, ok_ident, ok_oracle):
+        res.record(order, "topping order at {}", phi)
+        res.record(ident, "pathwise identities at {}", phi)
+        res.record(oracle, "running-maximum form at {}", phi)
     return res
 
 

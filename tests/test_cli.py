@@ -9,6 +9,7 @@ import pytest
 
 from conftest import EXAMPLE_PROBS, EXAMPLE_RETURNS
 from drawdown_risk import rho_cur, rho_down, ValidationError
+from drawdown_risk import cli
 from drawdown_risk.cli import GridSpec, main, parse_grid, parse_phi
 
 
@@ -296,3 +297,53 @@ def test_cli_import_leaves_scipy_optimize_out():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def _run(argv, capsys, fresh):
+    if fresh:
+        cli._parser.cache_clear()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_parser_serves_every_call_like_fresh_parsers(matrix_file, capsys):
+    calls = [
+        ["eval", matrix_file, "--measure", "bogus", "--phi=0.1,0.1"],
+        ["eval", matrix_file, "--measure", "down", "--phi=0.1,0.1"],
+        ["--help"],
+        ["verify"],
+        ["eval", matrix_file, "--measure", "cur", "--K", "3", "--phi=0.1,0.1"],
+    ]
+    want = [_run(argv, capsys, fresh=True) for argv in calls]
+    assert [code for code, _, _ in want] == [1, 0, 0, 1, 0]
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    assert [_run(argv, capsys, fresh=False) for argv in calls] == want
+    assert cli._parser() is parser
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_leaves_the_module_namespace_unchanged(matrix_file, capsys):
+    cli._parser.cache_clear()
+    before = dict(vars(cli))
+    assert main(["eval", matrix_file, "--measure", "down", "--phi=0.1,0.1"]) == 0
+    capsys.readouterr()
+    assert dict(vars(cli)) == before
+
+
+def test_cli_import_builds_no_parser():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import drawdown_risk
+
+    src = str(Path(drawdown_risk.__file__).resolve().parent.parent)
+    code = "import drawdown_risk.cli as cli; print(cli._parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "0"

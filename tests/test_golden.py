@@ -114,3 +114,27 @@ def test_surface_stdout_digest(tmp_path, measure, draws):
 def test_verify_exit_and_stdout_digest(tmp_path, name, seed):
     argv = ["verify", write_game(tmp_path, name), "--K", "3", "--seed", str(seed)]
     assert stdout_digest(argv) == VERIFY_EXIT_DIGESTS[name, seed]
+
+
+#: A game that passes the structural check but whose first four rows sum to
+#: (0, 0, 2.8e-17) in binary, so at K = 4 the small-scale suite fails 48 of
+#: its 200 checks and prints its notes.  Captured before the path-form second
+#: routes of the suites were batched.
+NOISE_GAME = {
+    "returns": [[0.5, -0.2, 0.3], [-0.4, 0.6, 0.1], [0.2, 0.3, -0.7],
+                [-0.3, -0.7, 0.3], [0.1, 0.2, 0.4]],
+    "probs": [0.3, 0.25, 0.2, 0.15, 0.1],
+}
+
+VERIFY_K4_DIGESTS = {
+    0: (3, "6e678648b37a1a74044d9b0e49979a3654cd9cd6b6601fad5a135c802ac7b284"),
+    1: (3, "96dd5b6c6fbf7e5ef6305921e8ead44823211f008f5fe8f08733a95fddf5e679"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_K4_DIGESTS))
+def test_verify_noise_game_exit_and_stdout_digest(tmp_path, seed):
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps(NOISE_GAME))
+    argv = ["verify", str(path), "--K", "4", "--seed", str(seed)]
+    assert stdout_digest(argv) == VERIFY_K4_DIGESTS[seed]

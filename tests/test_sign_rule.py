@@ -106,3 +106,55 @@ def test_signs_are_exact_where_float_evaluation_misses(example_matrix):
     want = [exact_sign(returns, theta.tolist(), x) for x in counts.tolist()]
     assert want == [0, 0, 1, 1, 0]
     assert path_engine.linear_signs(example_matrix.returns, theta, counts.T).tolist() == want
+
+
+def undeduplicated_signs(returns, theta, counts):
+    """``linear_signs`` with its exact fallback run once per undecided column."""
+    returns, theta = np.asarray(returns, dtype=float), np.asarray(theta, dtype=float)
+    values, scale = (returns @ theta) @ counts, (np.abs(returns) @ np.abs(theta)) @ counts
+    bound = path_engine._EPS * (sum(returns.shape) + 2) * scale + path_engine._TINY
+    signs = np.sign(values)
+    near = ~(np.abs(values) > bound)
+    signs[near] = 0.0
+    near[near] = counts[:, near].any(axis=0)
+    if near.any():
+        exact = np.array(path_engine._exact_steps(returns, theta.tolist())[0], dtype=object)
+        signs[near] = [(v > 0) - (v < 0) for v in exact @ counts[:, near].astype(object)]
+    return signs
+
+
+def step_differences(n, draws):
+    """Count differences x(S_l) - x(S_j) of every step pair of every path: (N, (K+1)^2 B)."""
+    digits = next(path_engine.iter_path_blocks(n, draws))
+    counts = np.zeros((n, draws + 1, len(digits)), dtype=np.int8)
+    np.cumsum(digits.T == np.arange(n)[:, None, None], axis=1, dtype=np.int8, out=counts[:, 1:])
+    return (counts[:, :, None] - counts[:, None]).reshape(n, -1)
+
+
+@pytest.mark.parametrize("name", ["reference", "dependent", "flat"])
+def test_deduplicated_exact_fallback_equals_per_column_rule(name, monkeypatch):
+    matrix = GAMES[name]()
+    undecided = []
+    exact_signs = path_engine._exact_signs
+    monkeypatch.setattr(path_engine, "_exact_signs",
+                        lambda r, t, cols: undecided.append(cols.shape[1]) or exact_signs(r, t, cols))
+    for draws in range(1, 5):
+        diffs = step_differences(matrix.n_periods, draws)
+        for theta, _ in hyperplane_directions(matrix, draws):
+            got = path_engine.linear_signs(matrix.returns, theta, diffs)
+            assert got.tolist() == undeduplicated_signs(matrix.returns, theta, diffs).tolist()
+    # each hyperplane direction leaves many repeated columns to the exact rule
+    assert undecided and max(undecided) > 100
+
+
+def test_zero_sum_tie_is_exact_with_and_without_the_key(example_matrix):
+    # (1, 1, 0, 1) sums the reference rows to (0, 0): its sign is 0 along every direction
+    tie = np.array([1, 1, 0, 1])
+    wide = 2**40  # per-row spans whose product overflows an int64 key
+    counts = np.stack([tie, -tie, 2 * tie, tie + [1, 0, 0, 0], tie - [0, 0, 1, 0]], axis=1)
+    for theta in [np.array(t) / np.linalg.norm(t) for t in REFERENCE_TIES + SPECIAL]:
+        for cols in (counts, np.concatenate([counts, wide * counts], axis=1)):
+            got = path_engine.linear_signs(example_matrix.returns, theta, cols)
+            want = undeduplicated_signs(example_matrix.returns, theta, cols)
+            assert got.tolist() == want.tolist()
+            assert got[:3].tolist() == [0, 0, 0]

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import EXAMPLE_PROBS, EXAMPLE_RETURNS
-from drawdown_risk import OnePeriodMarket, TradeMatrix, risk_measures, verify
+from drawdown_risk import OnePeriodMarket, TradeMatrix, path_engine, risk_measures, verify
 from drawdown_risk.cli import main
 from drawdown_risk.errors import ValidationError
 from drawdown_risk.market_bridge import build_trade_matrix
 from drawdown_risk.trade_core import AdmissibleSet, log_gamma_mean, matrix_rank
 from drawdown_risk.verify import SuiteResult, sample_directions, sample_interior
 from test_kernel import GAMES
+from test_topping_pass import STREAMED
 
 
 def per_point_identities(matrix, draws, samples, rng, budget=None) -> SuiteResult:
@@ -324,3 +325,142 @@ def test_negative_samples_exit_one_without_traceback(tmp_path, capsys):
 def test_run_suites_rejects_negative_samples(example_matrix):
     with pytest.raises(ValidationError):
         verify.run_suites(example_matrix, draws=2, samples=-1)
+
+
+# ---------------------------------------------------------------------------
+# Path-form expectations: one block pass for every point
+
+
+def per_point_expectation(matrix, phi, draws, quantity, budget=None) -> float:
+    """One point's path expectation, block by block, as the single-point route summed it."""
+    rows = path_engine.log_hpr_rows(matrix, phi)
+    acc = 0.0
+    for digits in path_engine.iter_path_blocks(matrix.n_periods, draws, budget):
+        w = np.prod(matrix.probs[digits], axis=1)
+        acc += float(w @ quantity(np.cumsum(rows[digits], axis=1)))
+    return acc
+
+
+#: Each ``expected_*`` route with the pathwise quantity it weights.
+EXPECTATIONS = (
+    (risk_measures.expected_uptrade, path_engine.gain_from_prefix),
+    (risk_measures.expected_downtrade, path_engine.loss_from_prefix),
+    (risk_measures.expected_current_drawdown, path_engine.drawdown_from_prefix),
+    (risk_measures.expected_runup, path_engine.runup_from_prefix),
+)
+
+
+def _bits(values) -> list[bytes]:
+    return [np.float64(v).tobytes() for v in values]
+
+
+def _assert_expectations_bitwise(matrix, phis, draws):
+    quantities = [quantity for _, quantity in EXPECTATIONS]
+    got = risk_measures._path_expectations(matrix, phis, draws, None, quantities)
+    assert got.shape == (4, len(phis))
+    for (route, quantity), row in zip(EXPECTATIONS, got):
+        assert _bits(row) == _bits(route(matrix, phi, draws) for phi in phis)
+        assert _bits(row) == _bits(per_point_expectation(matrix, phi, draws, quantity)
+                                   for phi in phis)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_GAMES))
+def test_path_expectations_bitwise_equal_single_point_routes(name):
+    matrix = BATCH_GAMES[name]()
+    phis = sample_interior(matrix, np.random.default_rng(7), 5)
+    for draws in range(1, 6):
+        _assert_expectations_bitwise(matrix, phis, draws)
+
+
+def test_streamed_path_expectations_bitwise_equal_single_point_routes():
+    # 3^11 paths come in three digit blocks, each its own chunk of one point
+    matrix = STREAMED
+    _assert_expectations_bitwise(matrix, sample_interior(matrix, np.random.default_rng(3), 2), 11)
+
+
+@pytest.mark.parametrize("name", ["reference", "random", "unbounded"])
+def test_path_expectations_do_not_depend_on_the_chunk_bound(name, monkeypatch):
+    matrix = BATCH_GAMES[name]()
+    phis = sample_interior(matrix, np.random.default_rng(11), 7)
+    quantities = [quantity for _, quantity in EXPECTATIONS]
+    for draws in (1, 3, 4):
+        want = risk_measures._path_expectations(matrix, phis, draws, None, quantities)
+        paths = matrix.n_periods**draws
+        for bound in (1, 3, 2 * paths, 3 * paths):
+            monkeypatch.setattr(path_engine, "_BLOCK", bound)
+            got = risk_measures._path_expectations(matrix, phis, draws, None, quantities)
+            assert got.tobytes() == want.tobytes(), (draws, bound)
+            monkeypatch.undo()
+
+
+def test_path_expectations_without_points_enumerate_nothing(example_matrix):
+    # no point, no budget check: the count forms decide the error of an empty suite
+    got = risk_measures._path_expectations(example_matrix, np.empty((0, 2)), 30, 1,
+                                           [path_engine.loss_from_prefix])
+    assert got.shape == (1, 0)
+
+
+def per_point_small_s(matrix, draws, samples, rng, budget=None) -> SuiteResult:
+    res = SuiteResult("small-s")
+    dirs = min(64, samples) if samples else 64
+    for theta in sample_directions(matrix, rng, dirs):
+        for s in verify.SMALL_SCALES:
+            ok_down = risk_measures.small_s_down_verified(matrix, s, theta, draws, budget)
+            ok_cur = risk_measures.small_s_cur_verified(matrix, s, theta, draws, budget)
+            if ok_down and ok_cur:
+                break
+        res.record(ok_down, f"terminal sign pattern along {theta}")
+        res.record(ok_cur, f"topping pattern along {theta}")
+        phi = s * theta
+        ed = risk_measures.expected_downtrade(matrix, phi, draws, budget)
+        d1 = risk_measures.d_first_approx(matrix, s, theta, draws, budget)
+        res.record(abs(ed - d1) <= verify.SMALL_S_TOL, f"terminal equality along {theta}")
+        ec = risk_measures.expected_current_drawdown(matrix, phi, draws, budget)
+        c1 = risk_measures.d_cur_first_approx(matrix, s, theta, draws, budget)
+        res.record(abs(ec - c1) <= verify.SMALL_S_TOL, f"drawdown equality along {theta}")
+    return res
+
+
+#: A game that passes the structural check but whose first four rows sum to
+#: (0, 0, 2.8e-17) in binary: at K = 4 the small-scale regime checks fail.
+NOISE_GAME = TradeMatrix(
+    [[0.5, -0.2, 0.3], [-0.4, 0.6, 0.1], [0.2, 0.3, -0.7], [-0.3, -0.7, 0.3], [0.1, 0.2, 0.4]],
+    [0.3, 0.25, 0.2, 0.15, 0.1],
+)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_GAMES))
+def test_batched_small_s_matches_per_direction_loop(name):
+    matrix = BATCH_GAMES[name]()
+    for draws in range(1, 5):
+        for seed in range(3):
+            got = verify.suite_small_s(matrix, draws, 4, np.random.default_rng(seed))
+            want = per_point_small_s(matrix, draws, 4, np.random.default_rng(seed))
+            assert _outcome(got) == _outcome(want), (draws, seed)
+
+
+def test_batched_small_s_keeps_the_failure_notes():
+    got = verify.suite_small_s(NOISE_GAME, 4, 50, np.random.default_rng(5))
+    want = per_point_small_s(NOISE_GAME, 4, 50, np.random.default_rng(5))
+    assert _outcome(got) == _outcome(want)
+    assert got.failed > 0 and got.notes
+
+
+def test_path_expectation_calls_do_not_grow_with_samples(tmp_path, monkeypatch, capsys):
+    calls = []
+    expectations = risk_measures._path_expectations
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return expectations(*args, **kwargs)
+
+    monkeypatch.setattr(risk_measures, "_path_expectations", counted)
+    path = _reference_file(tmp_path)
+    per_run = []
+    for samples in (4, 40):
+        calls.clear()
+        assert main(["verify", path, "--K", "3", "--samples", str(samples)]) == 0
+        per_run.append(len(calls))
+    capsys.readouterr()
+    # one call each in the identities, ordering and small-s suites
+    assert per_run == [3, 3]

@@ -84,3 +84,16 @@ def test_each_record_fails_when_its_quantity_is_wrong(example_matrix, monkeypatc
     res = verify.suite_topping(example_matrix, 4, 3, np.random.default_rng(0))
     assert res.failed > 0
     assert record in _failing_records(res)
+
+
+@pytest.mark.parametrize("bound", [1, 3, 2 * 4**3, 3 * 4**3])
+def test_block_suite_matches_per_path_loop_in_every_point_chunk(example_matrix, monkeypatch, bound):
+    # a gain off by 1e-9 on paths that end above 0.4 fails some points and not others
+    gain = path_engine.gain_from_prefix
+    monkeypatch.setattr(path_engine, "gain_from_prefix",
+                        lambda prefix: gain(prefix) + 1e-9 * (prefix[:, -1] > 0.4))
+    want = per_path_topping(example_matrix, 3, 10, np.random.default_rng(2))
+    assert 0 < want.failed < 10
+    monkeypatch.setattr(path_engine, "_BLOCK", bound)
+    got = verify.suite_topping(example_matrix, 3, 10, np.random.default_rng(2))
+    assert (got.passed, got.failed, got.notes) == (want.passed, want.failed, want.notes)
