@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -66,20 +65,10 @@ class GridSpec:
     def _ticks(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, steps) for lo, hi, steps in self.axes]
 
-    def points(self):
-        """Grid points in row-major order, first axis slowest."""
-        return itertools.product(*(tick.tolist() for tick in self._ticks()))
-
     def array(self) -> np.ndarray:
-        """The points of ``points`` as a (rows, dimension) array."""
+        """Grid points in row-major order, first axis slowest, as a (rows, dimension) array."""
         mesh = np.meshgrid(*self._ticks(), indexing="ij")
         return np.stack([axis.ravel() for axis in mesh], axis=1)
-
-    def row_count(self) -> int:
-        out = 1
-        for _, _, steps in self.axes:
-            out *= steps
-        return out
 
 
 @dataclass(frozen=True)
@@ -139,12 +128,13 @@ def _fmt_vec(vec) -> str:
     return "(" + ",".join(_fmt_num(float(v)) for v in vec) + ")"
 
 
-def _load_matrix_input(path: str, probs_text: str | None) -> TradeMatrix:
+def _load_input(path, probs_text) -> tuple[TradeMatrix, market_bridge.OnePeriodMarket | None]:
+    """The trade matrix of a game or market file, and the market if it is one."""
     probs = _parse_probs(probs_text)
     if market_bridge.is_market_file(path):
         market = market_bridge.load_market(path)
-        return market_bridge.build_trade_matrix(market)
-    return load_trade_matrix(path, probs)
+        return market_bridge.build_trade_matrix(market), market
+    return load_trade_matrix(path, probs), None
 
 
 def _write_output(out: str | None, text: str) -> None:
@@ -171,20 +161,15 @@ def surface_result(
             f"grid dimension {grid.dimension} != number of systems {matrix.n_systems}"
         )
     header = tuple(f"phi{j + 1}" for j in range(grid.dimension)) + ("value",)
-    values = risk_measures.evaluate_many(matrix, kind, grid.array(), draws, budget)
-    rows = [(*point, value) for point, value in zip(grid.points(), values.tolist())]
+    points = grid.array()
+    values = risk_measures.evaluate_many(matrix, kind, points, draws, budget)
+    rows = [(*point, value) for point, value in zip(points.tolist(), values.tolist())]
     return SurfaceResult(header, rows)
 
 
 def _cmd_check(args) -> int:
-    path = args.input
-    is_market = market_bridge.is_market_file(path)
+    matrix, market = _load_input(args.input, args.probs)
     ok = True
-    if is_market:
-        market = market_bridge.load_market(path)
-        matrix = market_bridge.build_trade_matrix(market)
-    else:
-        matrix = _load_matrix_input(path, args.probs)
     result = check_no_risk_free(matrix)
     m = matrix.n_systems
     if result.rank == m:
@@ -197,7 +182,7 @@ def _cmd_check(args) -> int:
     else:
         print(f"assumption: FAIL, direction theta={_fmt_vec(result.direction)}")
         ok = False
-    if is_market:
+    if market is not None:
         arb = market_bridge.check_arbitrage(market)
         if arb.has_arbitrage:
             print(f"arbitrage: FAIL, portfolio x={_fmt_vec(arb.portfolio)}")
@@ -208,15 +193,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    matrix = _load_matrix_input(args.input, args.probs)
+    matrix, _ = _load_input(args.input, args.probs)
     kind = risk_measures.MeasureKind(args.measure)
     if args.grid is not None:
         grid = parse_grid(args.grid)
+    elif matrix.n_systems != 2:
+        raise ValidationError("default grid covers two systems; pass --grid for other dimensions")
     else:
-        if matrix.n_systems != 2:
-            raise ValidationError(
-                "default grid covers two systems; pass --grid for other dimensions"
-            )
         grid = GridSpec((DEFAULT_GRID_AXIS,) * 2)
     try:
         result = surface_result(matrix, kind, grid, args.K, args.budget)
@@ -228,7 +211,7 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    matrix = _load_matrix_input(args.input, args.probs)
+    matrix, _ = _load_input(args.input, args.probs)
     phi = parse_phi(args.phi)
     lines = ["K,value"]
     if args.Kmax >= 1:
@@ -239,11 +222,10 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    matrix = _load_matrix_input(args.input, args.probs)
-    kind = risk_measures.MeasureKind(args.measure)
+    matrix, _ = _load_input(args.input, args.probs)
     phi = parse_phi(args.phi)
     evaluation = risk_measures.evaluate_measure(
-        matrix, kind, phi, args.K, args.budget, check_small_s=True
+        matrix, args.measure, phi, args.K, args.budget, check_small_s=True
     )
     if evaluation.small_s_verified is False:
         sys.stderr.write(
@@ -255,8 +237,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    path = args.input
-    matrix = _load_matrix_input(path, args.probs)
+    matrix, market = _load_input(args.input, args.probs)
     if args.samples < 0:
         raise ValidationError("samples must be >= 0")
     gate = verify.assumption_gate(matrix)
@@ -265,8 +246,7 @@ def _cmd_verify(args) -> int:
         print("verification: SKIPPED (structural assumption fails)")
         return EXIT_VERIFY
     print(f"assumption: PASS, certificate y={_fmt_vec(gate.certificate)}")
-    if market_bridge.is_market_file(path):
-        market = market_bridge.load_market(path)
+    if market is not None:
         arb = market_bridge.check_arbitrage(market)
         agree = (not arb.has_arbitrage) == gate.satisfied
         print(f"bridge-consistency: {'1/1 pass' if agree else '0/1 pass'}")
@@ -277,8 +257,7 @@ def _cmd_verify(args) -> int:
     )
     all_ok = True
     for res in results:
-        total = res.passed + res.failed
-        print(f"{res.name}: {res.passed}/{total} pass")
+        print(f"{res.name}: {res.passed}/{res.passed + res.failed} pass")
         for note in res.notes:
             print(f"  failed: {note}")
         all_ok &= res.ok()

@@ -240,10 +240,10 @@ def linear_signs(returns, theta, counts, values=None, scale=None, steps=0) -> np
 
     A float value with an a-priori error bound decides each sign it clears;
     the rest are recomputed in integers (Shewchuk's adaptive predicates, DCG
-    1997).  The value defaults to ``(returns @ theta) @ counts``.  A caller
-    that summed a walk another way passes its ``values``, a ``scale`` at
-    least the sum of |x_i t_im theta_m| over the terms in each, and the
-    ``steps`` of its sums beyond the N + M of the default.
+    1997).  The value defaults to ``(returns @ theta) @ counts``, which needs
+    2-D (N, J) counts; counts of any shape work when the caller passes their
+    ``values``, a ``scale`` at least the sum of |x_i t_im theta_m| over the
+    terms in each, and the ``steps`` of its sums beyond the N + M of the default.
     """
     returns, theta = np.asarray(returns, dtype=float), np.asarray(theta, dtype=float)
     if values is None:

@@ -23,15 +23,16 @@ coefficient forms included, can differ from version 0.1.0 in the last digits.
 Alongside them live the coefficient families behind the small-scale closed
 forms, the path-enumeration expectations used as the second route in
 verification, and diagnostics for the known discontinuity of the first
-approximation.  The terminal families split count vectors, and the drawdown
-families group paths, by the exact sign rule of ``path_engine``.  N^K paths
-are enumerated only for the drawdown families (``curFirstApprox``,
+approximation.  Each family is one pass, by the exact sign rule of
+``path_engine``: ``_terminal_pass`` splits the level-K count vectors (D, U),
+``_topping_pass`` groups paths by linear topping point (Lambda, Upsilon).
+Given a scale, a pass also returns its small-scale regime flag, so a checked
+coefficient kind reads the count plan or the paths once.  N^K paths are
+enumerated only for the drawdown families (``curFirstApprox``,
 ``runupExpect``), ``small_s_cur_verified`` and the path expectations, which
 weight the pathwise quantities of ``path_engine`` over path blocks.  The
 ``expected_*`` routes are one-point views of ``_path_expectations``, one
-block pass for many points and quantities.  ``evaluate_measure`` with
-``check_small_s`` enumerates the paths once for a drawdown family's value and
-its regime flag together.
+block pass for many points and quantities.
 """
 
 from __future__ import annotations
@@ -90,12 +91,13 @@ NONNEGATIVE_KINDS = frozenset(MeasureKind) - {
 }
 
 #: Kinds evaluated by the batched count-form kernel, mapped to whether they
-#: are Spitzer sums over draws 1..K (else a sum over the K-draw level only).
+#: are Spitzer sums over draws 1..K (else a sum over the K-draw level only)
+#: and whether they are log forms (defined only at interior points).
 _COUNT_KINDS = {
-    MeasureKind.DOWN: False,
-    MeasureKind.DOWN_X: False,
-    MeasureKind.CUR: True,
-    MeasureKind.CUR_X: True,
+    MeasureKind.DOWN: (False, True),
+    MeasureKind.DOWN_X: (False, False),
+    MeasureKind.CUR: (True, True),
+    MeasureKind.CUR_X: (True, False),
 }
 
 #: Most float temporaries the count-form kernel holds at once.
@@ -157,8 +159,9 @@ def _cached_digits(n: int, draws: int) -> np.ndarray:
     return digits
 
 
-def _path_digit_blocks(n: int, draws: int, budget: int | None):
-    """``iter_path_blocks``, with a single block read from the cache."""
+def _path_digit_blocks(matrix: TradeMatrix, draws: int, budget: int | None):
+    """``iter_path_blocks`` of a game, with a single block read from the cache."""
+    n = matrix.n_periods
     blocks = iter_path_blocks(n, draws, budget)
     return (_cached_digits(n, draws),) if n**draws <= _BLOCK else blocks
 
@@ -232,6 +235,11 @@ def _count_levels(probs, draws: int, budget: int | None, spitzer: bool = False):
     return _count_plan(tuple(np.asarray(probs, dtype=float).tolist()), draws, spitzer)
 
 
+def _terminal_plan(matrix: TradeMatrix, draws: int, budget: int | None):
+    """The level-K count plan of a game, after the count budget rule."""
+    return _count_levels(matrix.probs, draws, budget)
+
+
 def enumerate_counts(probs, draws: int, budget: int | None = None) -> Iterator[CountVector]:
     """Yield every count vector summing to ``draws`` in colexicographic order."""
     comps, weights, _ = _count_levels(probs, draws, budget)
@@ -284,8 +292,8 @@ def _count_form(
         raise ValidationError(
             f"portion vectors must have shape (G, {matrix.n_systems}), got {phis.shape}"
         )
-    comps, weights, ends = _count_levels(matrix.probs, draws, budget, _COUNT_KINDS[kind])
-    log_kind = kind in (MeasureKind.DOWN, MeasureKind.CUR)
+    spitzer, log_kind = _COUNT_KINDS[kind]
+    comps, weights, ends = _count_levels(matrix.probs, draws, budget, spitzer)
     block = max(1, _CHUNK // len(comps))
     sums = np.empty((len(phis), len(ends)))
     outside = np.zeros(len(phis), dtype=bool)
@@ -303,6 +311,12 @@ def _count_form(
     values = -sums + 0.0
     values[outside] = math.inf
     return values
+
+
+def _count_value(matrix, kind: MeasureKind, phi, draws: int, budget: int | None) -> np.ndarray:
+    """``_count_form`` at one point; the log kinds require an interior point."""
+    arr = (require_interior if _COUNT_KINDS[kind][1] else as_portions)(matrix, phi)
+    return _count_form(matrix, kind, arr[None], draws, budget)[0]
 
 
 def _unit_direction(matrix: TradeMatrix, theta, s: float = 0.0) -> np.ndarray:
@@ -329,13 +343,8 @@ def updown_coefficients(
     first approximation's discontinuity.
     """
     theta = _unit_direction(matrix, theta)
-    comps, weights, _ = _count_levels(matrix.probs, draws, budget)
-    down = linear_signs(matrix.returns, theta, comps.T) <= 0
-    weighted = weights[:, None] * comps
-    return (
-        CoefficientTable("U", weighted[~down].sum(axis=0), theta, draws),
-        CoefficientTable("D", weighted[down].sum(axis=0), theta, draws),
-    )
+    loss, gain, _ = _terminal_pass(matrix, theta, draws, budget)
+    return CoefficientTable("U", gain, theta, draws), CoefficientTable("D", loss, theta, draws)
 
 
 def drawdown_coefficients(
@@ -355,20 +364,40 @@ def drawdown_coefficients(
     )
 
 
-def _topping_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, rows=None):
+def _terminal_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, s=None):
+    """D and U totals from one pass over the level-K count plan, and a flag.
+
+    Count vectors are split by the exact sign of their linearized outcome,
+    one ``linear_signs`` call.  Given the scale ``s``, the flag says whether
+    the compounded outcome at s * theta exceeds 1 exactly on the count vectors
+    of positive linear outcome; else it is None.
+    """
+    comps, weights, _ = _terminal_plan(matrix, draws, budget)
+    down = linear_signs(matrix.returns, theta, comps.T) <= 0
+    weighted = weights[:, None] * comps
+    scaled = None if s is None else s * matrix.dots(theta)
+    flag = None if s is None else not np.any(1.0 + scaled <= 0.0)
+    if flag:
+        logged = comps @ np.log1p(scaled)
+        flag = bool(np.all(np.where(down, logged < 0.0, logged > 0.0)))
+    return weighted[down].sum(axis=0), weighted[~down].sum(axis=0), flag
+
+
+def _topping_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, s=None):
     """Lambda and Upsilon tables from one pass over the path blocks, and a flag.
 
     Each path weight is added once per step, into the row of its linear
     topping point: Lambda for the steps after it, Upsilon for the rest.  Given
-    the per-row log holding period returns ``rows``, the flag says whether the
-    compounded topping points agree with the linear ones on every path; else
-    it is None.
+    the scale ``s``, the flag says whether s * theta is admissible and its
+    compounded topping points are the linear ones on every path; else None.
     """
     n = matrix.n_periods
+    blocks = _path_digit_blocks(matrix, draws, budget)
     lam, ups = np.zeros((2, draws + 1, n))
     flat_lam, flat_ups = lam.reshape(-1), ups.reshape(-1)
-    agree = None if rows is None else True
-    for digits in _path_digit_blocks(n, draws, budget):
+    rows = None if s is None else log_hpr_rows(matrix, s * theta)
+    agree = None if s is None else not np.any(np.isneginf(rows))
+    for digits in blocks:
         w = np.prod(matrix.probs[digits], axis=1)
         top = linear_topping_blocks(matrix.returns, digits, theta)
         for pos in range(draws):
@@ -378,9 +407,46 @@ def _topping_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, ro
             after = ~after
             np.add.at(flat_ups, key[after], w[after])
         if agree:
-            log_top = topping_from_prefix(np.cumsum(rows[digits], axis=1), TOPPING_TIE_TOL)
-            agree = bool(np.all(log_top == top))
+            agree = bool(np.all(_log_topping(rows, digits) == top))
     return lam, ups, agree
+
+
+def _log_topping(rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Compounded topping points of a path block from the per-row log HPRs."""
+    return topping_from_prefix(np.cumsum(rows[digits], axis=1), TOPPING_TIE_TOL)
+
+
+#: Coefficient kinds: the pass over their family, the count plan or path
+#: blocks it reads, and whether the kind takes the loss side (D, Lambda).
+_COEFFICIENT_KINDS = {
+    MeasureKind.DOWN_FIRST_APPROX: (_terminal_pass, _terminal_plan, True),
+    MeasureKind.UP_EXPECT: (_terminal_pass, _terminal_plan, False),
+    MeasureKind.CUR_FIRST_APPROX: (_topping_pass, _path_digit_blocks, True),
+    MeasureKind.RUNUP_EXPECT: (_topping_pass, _path_digit_blocks, False),
+}
+
+
+def _coefficient_value(matrix, kind, s, theta, draws, budget, check=False):
+    """A coefficient kind at s * theta, with its regime flag when ``check``.
+
+    The value is the sum of c_i * log(1 + s * <t_i, theta>) over the nonzero
+    family totals c_i.  Where a log term is undefined the loss side is -inf
+    and the gain side raises ``DomainError``.
+    """
+    theta = _unit_direction(matrix, theta, s)
+    family, _, loss = _COEFFICIENT_KINDS[kind]
+    lose, gain, flag = family(matrix, theta, draws, budget, s if check else None)
+    coef = lose if loss else gain
+    total = 0.0
+    for c, d in zip(coef.sum(axis=0) if coef.ndim == 2 else coef, s * matrix.dots(theta)):
+        if c == 0.0:
+            continue
+        if d <= -1.0:
+            if loss:
+                return -math.inf, flag
+            raise DomainError("log-term argument is nonpositive; point is not admissible")
+        total += c * math.log1p(d)
+    return float(total), flag
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +459,7 @@ def rho_down(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) ->
     Requires an interior portion vector; the value is nonnegative and zero
     exactly at the zero allocation.
     """
-    arr = require_interior(matrix, phi)
-    return float(_count_form(matrix, MeasureKind.DOWN, arr[None], draws, budget)[0, -1])
+    return float(_count_value(matrix, MeasureKind.DOWN, phi, draws, budget)[-1])
 
 
 def rho_cur(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) -> float:
@@ -406,62 +471,21 @@ def rho_cur_series(
     matrix: TradeMatrix, phi, draws: int, budget: int | None = None
 ) -> np.ndarray:
     """``rho_cur`` at 1..draws draws from one pass; entry K-1 equals ``rho_cur(K)``."""
-    arr = require_interior(matrix, phi)
-    return _count_form(matrix, MeasureKind.CUR, arr[None], draws, budget)[0]
+    return _count_value(matrix, MeasureKind.CUR, phi, draws, budget)
 
 
 def rho_down_x(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) -> float:
     """Positively homogeneous linearization of ``rho_down``; defined on all of R^M."""
-    arr = as_portions(matrix, phi)
-    return float(_count_form(matrix, MeasureKind.DOWN_X, arr[None], draws, budget)[0, -1])
+    return float(_count_value(matrix, MeasureKind.DOWN_X, phi, draws, budget)[-1])
 
 
 def rho_cur_x(matrix: TradeMatrix, phi, draws: int, budget: int | None = None) -> float:
     """Positively homogeneous linearization of ``rho_cur``; defined on all of R^M."""
-    arr = as_portions(matrix, phi)
-    return float(_count_form(matrix, MeasureKind.CUR_X, arr[None], draws, budget)[0, -1])
+    return float(_count_value(matrix, MeasureKind.CUR_X, phi, draws, budget)[-1])
 
 
 # ---------------------------------------------------------------------------
 # Coefficient-form approximations (exact in the small-scale regime)
-
-
-def _coefficient_form(matrix, s, theta, draws, budget, *, drawdown, loss) -> float:
-    """``_log_form`` of the D, U, Lambda or Upsilon totals at a direction."""
-    theta = _unit_direction(matrix, theta, s)
-    if drawdown:
-        lose, gain = drawdown_coefficients(matrix, theta, draws, budget)
-    else:
-        gain, lose = updown_coefficients(matrix, theta, draws, budget)
-    return _log_form(matrix, s, theta, (lose if loss else gain).totals(), loss)
-
-
-def _log_form(matrix, s, theta, totals, loss) -> float:
-    """Sum of c_i * log(1 + s * <t_i, theta>) over the nonzero totals c_i.
-
-    Where a log term is undefined the loss side (D, Lambda) is -inf and the
-    gain side raises ``DomainError``.
-    """
-    total = 0.0
-    for c, d in zip(totals, s * matrix.dots(theta)):
-        if c == 0.0:
-            continue
-        if d <= -1.0:
-            if loss:
-                return -math.inf
-            raise DomainError("log-term argument is nonpositive; point is not admissible")
-        total += c * math.log1p(d)
-    return float(total)
-
-
-def _checked_drawdown_form(matrix, s, theta, draws, budget, *, loss) -> tuple[float, bool]:
-    """``d_cur_first_approx`` or ``u_run_expect`` with ``small_s_cur_verified``, in one pass."""
-    theta = _unit_direction(matrix, theta, s)
-    rows = log_hpr_rows(matrix, s * theta)
-    admissible = not np.any(np.isneginf(rows))
-    lam, ups, agree = _topping_pass(matrix, theta, draws, budget, rows if admissible else None)
-    value = _log_form(matrix, s, theta, (lam if loss else ups).sum(axis=0), loss)
-    return value, admissible and agree
 
 
 def d_first_approx(
@@ -473,14 +497,14 @@ def d_first_approx(
     it when the small-scale sign patterns hold.  Returns -inf when a needed
     log term is undefined (allocation beyond the admissible set).
     """
-    return _coefficient_form(matrix, s, theta, draws, budget, drawdown=False, loss=True)
+    return _coefficient_value(matrix, MeasureKind.DOWN_FIRST_APPROX, s, theta, draws, budget)[0]
 
 
 def u_expect(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
     """Coefficient form of the expected terminal log gain at scale s."""
-    return _coefficient_form(matrix, s, theta, draws, budget, drawdown=False, loss=False)
+    return _coefficient_value(matrix, MeasureKind.UP_EXPECT, s, theta, draws, budget)[0]
 
 
 def d_second_approx(
@@ -495,14 +519,14 @@ def d_cur_first_approx(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
     """First approximation of the expected current-drawdown log series."""
-    return _coefficient_form(matrix, s, theta, draws, budget, drawdown=True, loss=True)
+    return _coefficient_value(matrix, MeasureKind.CUR_FIRST_APPROX, s, theta, draws, budget)[0]
 
 
 def u_run_expect(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> float:
     """Coefficient form of the expected run-up log series at scale s."""
-    return _coefficient_form(matrix, s, theta, draws, budget, drawdown=True, loss=False)
+    return _coefficient_value(matrix, MeasureKind.RUNUP_EXPECT, s, theta, draws, budget)[0]
 
 
 def d_cur_second_approx(
@@ -562,7 +586,7 @@ def _path_expectations(matrix, phis, draws, budget, quantities) -> np.ndarray:
     out = np.zeros((len(quantities), len(rows)))
     if not len(rows):
         return out
-    for digits in _path_digit_blocks(matrix.n_periods, draws, budget):
+    for digits in _path_digit_blocks(matrix, draws, budget):
         w = np.prod(matrix.probs[digits], axis=1)
         for g0, prefix in prefix_chunks(rows, digits):
             flat = prefix.reshape(-1, draws)
@@ -587,27 +611,22 @@ def small_s_down_verified(
     forms reproduce the path expectations exactly.
     """
     theta = _unit_direction(matrix, theta)
-    comps, _, _ = _count_levels(matrix.probs, draws, budget)
-    scaled = s * matrix.dots(theta)
-    if np.any(1.0 + scaled <= 0.0):
-        return False
-    logged = comps @ np.log1p(scaled)
-    gain = linear_signs(matrix.returns, theta, comps.T) > 0
-    return bool(np.all(np.where(gain, logged > 0.0, logged < 0.0)))
+    return _terminal_pass(matrix, theta, draws, budget, s)[2]
 
 
 def small_s_cur_verified(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> bool:
-    """True when compounded and linear topping points agree on every path."""
+    """True when compounded and linear topping points agree on every path (early exit)."""
     theta = _unit_direction(matrix, theta)
+    # the flag of _topping_pass without its tables, which would cost every call
+    blocks = _path_digit_blocks(matrix, draws, budget)
     rows = log_hpr_rows(matrix, s * theta)
     if np.any(np.isneginf(rows)):
         return False
-    for digits in _path_digit_blocks(matrix.n_periods, draws, budget):
-        log_top = topping_from_prefix(np.cumsum(rows[digits], axis=1), TOPPING_TIE_TOL)
+    for digits in blocks:
         lin_top = linear_topping_blocks(matrix.returns, digits, theta)
-        if np.any(log_top != lin_top):
+        if np.any(_log_topping(rows, digits) != lin_top):
             return False
     return True
 
@@ -653,41 +672,22 @@ def evaluate_measure(
 ) -> MeasureEvaluation:
     """Evaluate one measure kind at a portion vector.
 
-    Scale-and-direction kinds decompose phi = s * theta with theta the unit
-    direction; at phi = 0 every kind evaluates to 0.  With ``check_small_s``
-    the small-scale regime flag is computed for the kinds that are only exact
-    in that regime.
+    Coefficient kinds decompose phi = s * theta with theta the unit direction;
+    at phi = 0 every kind evaluates to 0, after the same draws and budget
+    checks as elsewhere.  With ``check_small_s`` the coefficient kinds, only
+    exact in the small-scale regime, also return its flag from the same pass.
     """
     kind = MeasureKind(kind)
     arr = as_portions(matrix, phi)
+    if kind in _COUNT_KINDS:
+        return MeasureEvaluation(kind, float(_count_value(matrix, kind, arr, draws, budget)[-1]))
     scale = float(np.linalg.norm(arr))
-    flag: bool | None = None
-    if kind is MeasureKind.DOWN:
-        value = rho_down(matrix, arr, draws, budget)
-    elif kind is MeasureKind.DOWN_X:
-        value = rho_down_x(matrix, arr, draws, budget)
-    elif kind is MeasureKind.CUR:
-        value = rho_cur(matrix, arr, draws, budget)
-    elif kind is MeasureKind.CUR_X:
-        value = rho_cur_x(matrix, arr, draws, budget)
-    else:
-        if scale == 0.0:
-            return MeasureEvaluation(kind, 0.0, True if check_small_s else None)
-        theta = arr / scale
-        if kind in (MeasureKind.DOWN_FIRST_APPROX, MeasureKind.UP_EXPECT):
-            form = d_first_approx if kind is MeasureKind.DOWN_FIRST_APPROX else u_expect
-            value = form(matrix, scale, theta, draws, budget)
-            if check_small_s:
-                flag = small_s_down_verified(matrix, scale, theta, draws, budget)
-        elif check_small_s:
-            # the value and the regime flag read the same linear topping points
-            value, flag = _checked_drawdown_form(
-                matrix, scale, theta, draws, budget, loss=kind is MeasureKind.CUR_FIRST_APPROX
-            )
-        else:
-            form = d_cur_first_approx if kind is MeasureKind.CUR_FIRST_APPROX else u_run_expect
-            value = form(matrix, scale, theta, draws, budget)
-    return MeasureEvaluation(kind, float(value), flag)
+    if scale == 0.0:
+        # every log term vanishes, but the draws and budget rules of the kind's pass hold
+        _COEFFICIENT_KINDS[kind][1](matrix, draws, budget)
+        return MeasureEvaluation(kind, 0.0, True if check_small_s else None)
+    value, flag = _coefficient_value(matrix, kind, scale, arr / scale, draws, budget, check_small_s)
+    return MeasureEvaluation(kind, value, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +739,7 @@ def hyperplane_directions(
     """
     if matrix.n_systems != 2:
         raise ValidationError("hyperplane scan is only available for M == 2")
-    comps, _, _ = _count_levels(matrix.probs, draws, budget)
+    comps, _, _ = _terminal_plan(matrix, draws, budget)
     seen: set[tuple[float, float]] = set()
     out: list[tuple[np.ndarray, tuple[int, ...]]] = []
     for x in comps:

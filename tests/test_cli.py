@@ -40,7 +40,7 @@ class TestParsing:
     def test_parse_grid(self):
         spec = parse_grid("-0.4:0.8:121,-0.4:0.8:121")
         assert spec.dimension == 2
-        assert spec.row_count() == 121 * 121
+        assert spec.array().shape == (121 * 121, 2)
 
     def test_parse_grid_rejects_bad_steps(self):
         with pytest.raises(ValidationError):
@@ -55,10 +55,10 @@ class TestParsing:
 
     def test_grid_point_order_outer_axis_slowest(self):
         spec = GridSpec(((0.0, 1.0, 2), (0.0, 1.0, 3)))
-        pts = list(spec.points())
-        assert pts[0] == (0.0, 0.0)
-        assert pts[1] == (0.0, 0.5)
-        assert pts[3] == (1.0, 0.0)
+        pts = spec.array().tolist()
+        assert pts[0] == [0.0, 0.0]
+        assert pts[1] == [0.0, 0.5]
+        assert pts[3] == [1.0, 0.0]
 
 
 class TestCheck:

@@ -156,17 +156,18 @@ def test_chunk_size_leaves_surface_bytes_unchanged(game_file, capsys, monkeypatc
 
 @pytest.mark.parametrize("measure", ["cur", "downFirstApprox"])
 def test_cur_budget_counts_all_levels(game_file, capsys, measure):
-    # N=4, K=3: C(3+4, 4) - 1 = 34 count states over levels 1..3
-    argv = ["eval", game_file, "--measure", measure, "--K", "3", "--phi=0.1,0.1"]
-    assert main(argv + ["--budget", "33"]) == 2
-    assert main(argv + ["--budget", "34"]) == 0
+    # N=4, K=3: C(3+4, 4) - 1 = 34 count states over levels 1..3, also at phi = 0
+    for phi in ("--phi=0.1,0.1", "--phi=0,0"):
+        argv = ["eval", game_file, "--measure", measure, "--K", "3", phi]
+        assert main(argv + ["--budget", "33"]) == 2
+        assert main(argv + ["--budget", "34"]) == 0
 
 
 @pytest.mark.parametrize("measure", ["curFirstApprox", "runupExpect"])
 def test_drawdown_coefficient_budget_edges(game_file, capsys, measure):
     # N=4, K=3: the drawdown families and the small-scale topping check of
-    # eval enumerate the 4^3 = 64 paths
-    for command in (["surface", GRID], ["eval", "--phi=0.1,0.1"]):
+    # eval enumerate the 4^3 = 64 paths, also at phi = 0
+    for command in (["surface", GRID], ["eval", "--phi=0.1,0.1"], ["eval", "--phi=0,0"]):
         argv = [command[0], game_file, "--measure", measure, "--K", "3", command[1]]
         assert main(argv + ["--budget", "63"]) == 2
         assert main(argv + ["--budget", "64"]) == 0
