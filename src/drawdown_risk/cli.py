@@ -57,6 +57,8 @@ class GridSpec:
                 raise ValidationError("grid steps must be >= 2")
             if not lo < hi:
                 raise ValidationError("grid min must be < max")
+            if not math.isfinite(hi - lo):
+                raise ValidationError("grid span max - min must be finite")
 
     @property
     def dimension(self) -> int:

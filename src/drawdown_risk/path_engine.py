@@ -4,7 +4,11 @@ A game path is an ordered tuple omega with entries in {1..N} (1-based row
 indices of the trade matrix).  ``iter_path_blocks`` enumerates paths in
 lexicographic order as 0-based digit arrays of shape (B, K) and is the one
 place the path budget, N^K paths, is checked; ``enumerate_paths`` is a
-per-path view of it.  Count vectors live in ``risk_measures``.
+per-path view of it.  A path is a lead of j digits followed by a suffix of
+m, with N^m the largest power of N within the block size (``path_split``),
+and each block is as many whole leads as fit, each followed by the one
+table of all N^m suffixes, so a caller that caches that table builds no
+block from scratch.  Count vectors live in ``risk_measures``.
 
 Each pathwise quantity is defined once, on prefix log sums of shape (B, K)
 (``*_from_prefix``); the single-path functions are one-row calls of them.
@@ -36,6 +40,10 @@ DEFAULT_ENUMERATION_BUDGET = 2**24
 #: when locating the first topping point of the compounded equity curve.
 TOPPING_TIE_TOL = 1e-14
 
+#: Most paths in one block of ``iter_path_blocks``, read when called.
+_PATH_BLOCK = 1 << 16
+
+#: Most prefix sums, points times paths, in one chunk of ``prefix_chunks``.
 _BLOCK = 1 << 16
 
 _EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
@@ -57,22 +65,54 @@ def _check_budget(size: int, budget: int | None, what: str) -> None:
         )
 
 
+def digit_block(n: int, draws: int) -> np.ndarray:
+    """All n^draws paths of ``draws`` draws as 0-based digits, (n^draws, draws), lexicographic."""
+    return np.stack(np.unravel_index(np.arange(n**draws), (n,) * draws), axis=1)
+
+
+def path_split(n: int, draws: int, block: int | None = None) -> tuple[int, int, int]:
+    """Lead and suffix lengths (j, m) of the blocks of ``iter_path_blocks``, and leads per block.
+
+    m is the largest length up to ``draws`` with n^m <= max(block, n), and a
+    block holds as many whole leads as fit in that bound; ``block`` defaults
+    to ``_PATH_BLOCK``, read when called.
+    """
+    limit = max(_PATH_BLOCK if block is None else block, n)
+    tail = 1
+    while tail < draws and n ** (tail + 1) <= limit:
+        tail += 1
+    return draws - tail, tail, limit // n**tail
+
+
 def iter_path_blocks(
-    n: int, draws: int, budget: int | None = None, block: int = _BLOCK
+    n: int, draws: int, budget: int | None = None, block: int | None = None, table=digit_block
 ) -> Iterator[np.ndarray]:
     """0-based path index arrays of shape (B, draws), in lexicographic order.
 
-    ``draws`` and the budget are checked when called, before the first block.
+    Each block is one or more whole leads of j digits, each followed by all
+    n^m suffixes, with the sizes from ``path_split``, so no block exceeds
+    max(block, n) paths.  ``table(n, k)`` gives all paths of k draws, for the
+    leads and the suffixes; a caller may pass a cached one.  ``draws`` and the
+    budget are checked when called, before the first block.
     """
     if draws < 1:
         raise ValidationError("draws must be >= 1")
-    total = n**draws
-    _check_budget(total, budget, "path")
-    shape = (n,) * draws
-    return (
-        np.stack(np.unravel_index(np.arange(start, min(start + block, total)), shape), axis=1)
-        for start in range(0, total, block)
-    )
+    _check_budget(n**draws, budget, "path")
+    return _lead_blocks(n, *path_split(n, draws, block), table)
+
+
+def _lead_blocks(n: int, lead: int, tail: int, per: int, table) -> Iterator[np.ndarray]:
+    suffix = table(n, tail)
+    if not lead:
+        yield suffix
+        return
+    leads = table(n, lead)
+    for a0 in range(0, len(leads), per):
+        rows = leads[a0 : a0 + per]
+        out = np.empty((len(rows), len(suffix), lead + tail), dtype=suffix.dtype)
+        out[:, :, :lead] = rows[:, None]
+        out[:, :, lead:] = suffix
+        yield out.reshape(-1, lead + tail)
 
 
 def enumerate_paths(probs, draws: int, budget: int | None = None) -> Iterator[PathOutcome]:
@@ -235,6 +275,13 @@ def _exact_steps(returns: np.ndarray, theta: list[float]) -> tuple[list[int], in
     return [s.numerator * (scale // s.denominator) for s in steps], scale
 
 
+def _sign_bound(returns: np.ndarray, scale, steps: int):
+    """A-priori error bound of a float linear outcome of magnitude sum ``scale``."""
+    # no term meets more than N + M + steps roundings; eps = 2u doubles that
+    # gamma bound and tiny covers underflow
+    return _EPS * (sum(returns.shape) + 2 + steps) * scale + _TINY
+
+
 def linear_signs(returns, theta, counts, values=None, scale=None, steps=0) -> np.ndarray:
     """Exact signs of the linear walks sum_i x_i <t_i, theta>, x = counts[:, j, ...].
 
@@ -248,9 +295,7 @@ def linear_signs(returns, theta, counts, values=None, scale=None, steps=0) -> np
     returns, theta = np.asarray(returns, dtype=float), np.asarray(theta, dtype=float)
     if values is None:
         values, scale = (returns @ theta) @ counts, (np.abs(returns) @ np.abs(theta)) @ counts
-    # no term meets more than N + M + steps roundings; eps = 2u doubles that
-    # gamma bound and tiny covers underflow
-    bound = _EPS * (sum(returns.shape) + 2 + steps) * scale + _TINY
+    bound = _sign_bound(returns, scale, steps)
     signs = np.sign(values)
     near = ~(np.abs(values) > bound)
     if near.any():
@@ -294,7 +339,7 @@ def linear_topping_blocks(returns: np.ndarray, digits: np.ndarray, theta) -> np.
     # every prefix sum of a path has at most its whole magnitude
     scale = 2.0 * (np.abs(returns) @ np.abs(theta))[digits].sum(axis=1)
     walk = np.vstack([np.zeros(len(digits)), linear_prefix_blocks(returns, digits, theta).T])
-    bound = _EPS * (sum(returns.shape) + 2 + len(walk)) * scale + _TINY
+    bound = _sign_bound(returns, scale, len(walk))
     paths, top = np.arange(len(digits)), walk.argmax(axis=0)
     while True:
         values = walk[top, paths] - walk

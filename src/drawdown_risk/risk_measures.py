@@ -33,6 +33,13 @@ enumerated only for the drawdown families (``curFirstApprox``,
 weight the pathwise quantities of ``path_engine`` over path blocks.  The
 ``expected_*`` routes are one-point views of ``_path_expectations``, one
 block pass for many points and quantities.
+
+Path blocks are lead-aligned and built from digit tables cached by
+``_cached_digits``.  The linear topping points of a block come from one
+producer, ``_topped_blocks``, read by both ``_topping_pass`` and
+``small_s_cur_verified``: a streamed enumeration tops its suffix table and
+its lead table once each and combines them exactly per lead block, instead
+of topping every block from scratch.
 """
 
 from __future__ import annotations
@@ -48,16 +55,18 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .path_engine import (
     TOPPING_TIE_TOL,
-    _BLOCK,
     _check_budget,
+    _sign_bound,
+    digit_block,
     drawdown_from_prefix,
     gain_from_prefix,
     iter_path_blocks,
-    linear_prefix_blocks,  # noqa: F401  (wrapped by the benchmark tracer)
+    linear_prefix_blocks,
     linear_signs,
     linear_topping_blocks,
     log_hpr_rows,
     loss_from_prefix,
+    path_split,
     prefix_chunks,
     runup_from_prefix,
     topping_from_prefix,
@@ -154,16 +163,15 @@ def _composition_table(n: int, draws: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _cached_digits(n: int, draws: int) -> np.ndarray:
-    digits = next(iter_path_blocks(n, draws))
+    """All n^draws paths of ``draws`` draws: the lead and suffix tables of the path blocks."""
+    digits = digit_block(n, draws)
     digits.setflags(write=False)
     return digits
 
 
 def _path_digit_blocks(matrix: TradeMatrix, draws: int, budget: int | None):
-    """``iter_path_blocks`` of a game, with a single block read from the cache."""
-    n = matrix.n_periods
-    blocks = iter_path_blocks(n, draws, budget)
-    return (_cached_digits(n, draws),) if n**draws <= _BLOCK else blocks
+    """``iter_path_blocks`` of a game, from cached digit tables."""
+    return iter_path_blocks(matrix.n_periods, draws, budget, table=_cached_digits)
 
 
 def _colex_rank(comps: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -285,7 +293,8 @@ def _count_form(
     Terminal kinds give L = 1, the value at ``draws``.  Spitzer kinds give
     L = draws, column k - 1 holding the value at k draws.  Log kinds are
     +inf at points whose smallest holding period return is <= BOUNDARY_TOL.
-    Points go through in blocks, so no temporary exceeds ``_CHUNK`` values.
+    Points go through in blocks, so no temporary exceeds ``_CHUNK`` values;
+    its callers have checked them with ``_require_reach``.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 2 or phis.shape[1] != matrix.n_systems:
@@ -315,8 +324,44 @@ def _count_form(
 
 def _count_value(matrix, kind: MeasureKind, phi, draws: int, budget: int | None) -> np.ndarray:
     """``_count_form`` at one point; the log kinds require an interior point."""
-    arr = (require_interior if _COUNT_KINDS[kind][1] else as_portions)(matrix, phi)
+    arr = as_portions(matrix, phi)
+    _require_reach(matrix, arr)
+    if _COUNT_KINDS[kind][1]:
+        require_interior(matrix, arr)
     return _count_form(matrix, kind, arr[None], draws, budget)[0]
+
+
+def _require_reach(matrix: TradeMatrix, phis: np.ndarray) -> None:
+    """Raise unless every |T| @ |phi| is finite, for one point (M,) or many (G, M).
+
+    So no product <t_i, phi> overflows: a point beyond it is a validation
+    error, not a value computed from inf or nan.  The bound row_reach *
+    max |phi|, with a factor 2 for the rounding of both sums, settles every
+    point short of the overflow range without the product.
+    """
+    if 2.0 * float(np.abs(phis).max(initial=0.0)) * matrix.row_reach < math.inf:
+        return
+    with np.errstate(over="ignore"):
+        reach = np.abs(phis) @ np.abs(matrix.returns).T
+    if not reach.max(initial=0.0) < math.inf:
+        raise ValidationError("portion vector too large: |T| @ |phi| overflows")
+
+
+def _radius(matrix: TradeMatrix, arr: np.ndarray) -> float:
+    """Euclidean norm of a point, after the rule of ``_require_reach``.
+
+    Where the squares overflow, the norm of the point scaled to a largest
+    entry of 1 is scaled back, so every norm the plain one gives is kept.
+    Both checks are skipped where the bounds 2 * max |phi| * row_reach and
+    2 * M * max |phi|^2 show that nothing overflows.
+    """
+    top = max(map(abs, arr.tolist()))
+    if 2.0 * top * matrix.row_reach < math.inf and 2.0 * top * top * len(arr) < math.inf:
+        return float(np.linalg.norm(arr))
+    _require_reach(matrix, arr)
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(arr))
+    return scale if scale < math.inf else top * float(np.linalg.norm(arr / top))
 
 
 def _unit_direction(matrix: TradeMatrix, theta, s: float = 0.0) -> np.ndarray:
@@ -387,28 +432,88 @@ def _topping_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, s=
     """Lambda and Upsilon tables from one pass over the path blocks, and a flag.
 
     Each path weight is added once per step, into the row of its linear
-    topping point: Lambda for the steps after it, Upsilon for the rest.  Given
-    the scale ``s``, the flag says whether s * theta is admissible and its
-    compounded topping points are the linear ones on every path; else None.
+    topping point: Lambda for the steps after it, Upsilon for the rest, one
+    unmasked ``np.add.at`` per step into one flat [Lambda | Upsilon] buffer,
+    which adds to each cell in the order of a masked add per row.  The
+    topping points come from ``_topped_blocks``.  Given the scale ``s``, the
+    flag says whether s * theta is admissible and its compounded topping
+    points are the linear ones on every path; else None.  The compounded
+    points are computed only while the flag still holds.
     """
     n = matrix.n_periods
-    blocks = _path_digit_blocks(matrix, draws, budget)
-    lam, ups = np.zeros((2, draws + 1, n))
-    flat_lam, flat_ups = lam.reshape(-1), ups.reshape(-1)
+    blocks = _topped_blocks(matrix, theta, draws, budget)
+    tables = np.zeros(2 * (draws + 1) * n)
+    half = (draws + 1) * n
     rows = None if s is None else log_hpr_rows(matrix, s * theta)
     agree = None if s is None else not np.any(np.isneginf(rows))
-    for digits in blocks:
+    for digits, top in blocks:
         w = np.prod(matrix.probs[digits], axis=1)
-        top = linear_topping_blocks(matrix.returns, digits, theta)
+        lam_key = top * n
+        ups_key = lam_key + half
         for pos in range(draws):
-            key = top * n + digits[:, pos]
-            after = top <= pos
-            np.add.at(flat_lam, key[after], w[after])
-            after = ~after
-            np.add.at(flat_ups, key[after], w[after])
+            np.add.at(tables, np.where(top <= pos, lam_key, ups_key) + digits[:, pos], w)
         if agree:
             agree = bool(np.all(_log_topping(rows, digits) == top))
+    lam, ups = tables.reshape(2, draws + 1, n)
     return lam, ups, agree
+
+
+def _topped_blocks(matrix: TradeMatrix, theta, draws: int, budget: int | None):
+    """(digits, exact linear topping points) of each path block, lazily.
+
+    A single block is topped by one ``linear_topping_blocks`` call.  A
+    streamed enumeration tops its suffix table and its lead table once each
+    and combines them per lead (``_lead_tops``).  Draws and budget are
+    checked when called.
+    """
+    n, returns = matrix.n_periods, matrix.returns
+    blocks = _path_digit_blocks(matrix, draws, budget)
+    lead, tail, per = path_split(n, draws)
+    if not lead:
+        return ((digits, linear_topping_blocks(returns, digits, theta)) for digits in blocks)
+    return zip(blocks, _lead_tops(returns, theta, n, lead, tail, per))
+
+
+def _lead_tops(returns: np.ndarray, theta, n: int, lead: int, tail: int, per: int):
+    """Exact linear topping points of the paths of ``per`` leads at a time, one array per block.
+
+    Lead a has exact top t_a, float peak P_a and end L_a; suffix q has exact
+    top t_q and float peak M_q.  Path (a, q) tops at lead + t_q when t_q > 0
+    and (L_a - P_a) + M_q is exactly positive, else at t_a (the first index
+    wins ties).  That sign is the linear outcome of the lead's steps after
+    t_a and the suffix's first t_q steps: a float filter with the error bound
+    of ``linear_topping_blocks`` decides it, and counts are built, and
+    ``linear_signs`` run, only for the pairs it leaves undecided.
+    """
+    leads, suffix = _cached_digits(n, lead), _cached_digits(n, tail)
+    lead_top = linear_topping_blocks(returns, leads, theta)
+    suffix_top = linear_topping_blocks(returns, suffix, theta)
+    lead_walk = np.hstack([np.zeros((len(leads), 1)), linear_prefix_blocks(returns, leads, theta)])
+    drop = lead_walk[:, -1] - lead_walk[np.arange(len(leads)), lead_top]
+    rises = suffix_top > 0
+    peak = np.where(rises, linear_prefix_blocks(returns, suffix, theta)[
+        np.arange(len(suffix)), suffix_top - 1], 0.0)
+    size = np.abs(returns) @ np.abs(theta)
+    # every partial sum of a path has at most its whole magnitude
+    lead_scale, suffix_scale = 2.0 * size[leads].sum(axis=1), 2.0 * size[suffix].sum(axis=1)
+    after = np.arange(lead) >= lead_top[:, None]
+    lead_counts = ((leads[:, :, None] == np.arange(n)) & after[:, :, None]).sum(axis=1)
+    symbols = np.arange(n)[:, None, None]
+
+    def tops(a):
+        values = drop[a] + peak
+        scale = lead_scale[a] + suffix_scale
+        signs = np.sign(values)
+        near = rises & ~(np.abs(values) > _sign_bound(returns, scale, lead + tail + 1))
+        if near.any():
+            (q,) = np.nonzero(near)
+            first = (np.arange(tail) < suffix_top[q, None]).T
+            counts = lead_counts[a][:, None] + ((suffix[q].T == symbols) & first).sum(axis=1)
+            signs[q] = linear_signs(returns, theta, counts, values[q], scale[q], lead + tail + 1)
+        return np.where(rises & (signs > 0), lead + suffix_top, lead_top[a])
+
+    for a0 in range(0, len(leads), per):
+        yield np.concatenate([tops(a) for a in range(a0, min(a0 + per, len(leads)))])
 
 
 def _log_topping(rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -620,15 +725,11 @@ def small_s_cur_verified(
     """True when compounded and linear topping points agree on every path (early exit)."""
     theta = _unit_direction(matrix, theta)
     # the flag of _topping_pass without its tables, which would cost every call
-    blocks = _path_digit_blocks(matrix, draws, budget)
+    blocks = _topped_blocks(matrix, theta, draws, budget)
     rows = log_hpr_rows(matrix, s * theta)
     if np.any(np.isneginf(rows)):
         return False
-    for digits in blocks:
-        lin_top = linear_topping_blocks(matrix.returns, digits, theta)
-        if np.any(_log_topping(rows, digits) != lin_top):
-            return False
-    return True
+    return all(np.array_equal(_log_topping(rows, digits), top) for digits, top in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +752,8 @@ def evaluate_many(
     """
     kind = MeasureKind(kind)
     if kind in _COUNT_KINDS:
+        phis = np.asarray(phis, dtype=float)
+        _require_reach(matrix, phis)
         return _count_form(matrix, kind, phis, draws, budget)[:, -1]
     sentinel = math.inf if kind in NONNEGATIVE_KINDS else -math.inf
     out = np.empty(len(phis))
@@ -681,7 +784,7 @@ def evaluate_measure(
     arr = as_portions(matrix, phi)
     if kind in _COUNT_KINDS:
         return MeasureEvaluation(kind, float(_count_value(matrix, kind, arr, draws, budget)[-1]))
-    scale = float(np.linalg.norm(arr))
+    scale = _radius(matrix, arr)
     if scale == 0.0:
         # every log term vanishes, but the draws and budget rules of the kind's pass hold
         _COEFFICIENT_KINDS[kind][1](matrix, draws, budget)

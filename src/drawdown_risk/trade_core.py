@@ -46,10 +46,11 @@ class TradeMatrix:
     Entry (i, k) is the net return per unit of capital allocated to trading
     system k when period outcome i occurs.  Negative entries are losses.
     Probabilities default to the uniform distribution.  Instances are safe to
-    share across threads; the underlying arrays are read-only.
+    share across threads; the underlying arrays are read-only.  ``row_reach``
+    is the largest row sum of |T|, so |<t_i, phi>| <= row_reach * max_k |phi_k|.
     """
 
-    __slots__ = ("returns", "probs")
+    __slots__ = ("returns", "probs", "row_reach")
 
     def __init__(self, returns, probs=None):
         rets = np.array(returns, dtype=float)
@@ -76,6 +77,7 @@ class TradeMatrix:
         pv.setflags(write=False)
         self.returns = rets
         self.probs = pv
+        self.row_reach = float(np.abs(rets).sum(axis=1).max())
 
     @property
     def n_periods(self) -> int:

@@ -1,7 +1,8 @@
 """Every package name the benchmark in ``bench/`` reaches still exists and still traces.
 
 The benchmark reads the cache statistics of two ``lru_cache`` functions and
-wraps the public functions of five modules.  A refactor that deletes or
+wraps the public functions of five modules, on single-block and streamed
+path enumerations alike.  A refactor that deletes or
 renames one of them fails here rather than in a benchmark run.
 """
 
@@ -17,6 +18,7 @@ import tracer  # noqa: E402
 import worker  # noqa: E402
 from conftest import EXAMPLE_PROBS, EXAMPLE_RETURNS  # noqa: E402
 from drawdown_risk import cli, market_bridge, path_engine, risk_measures, verify  # noqa: E402
+from test_topping_pass import STREAMED  # noqa: E402
 
 MODS = {"cli": cli, "risk_measures": risk_measures, "path_engine": path_engine,
         "verify": verify, "market_bridge": market_bridge}
@@ -32,6 +34,8 @@ def test_cache_counts_are_readable():
 def test_tracer_installs_runs_and_uninstalls(tmp_path, capsys):
     path = tmp_path / "game.json"
     path.write_text(json.dumps({"returns": EXAMPLE_RETURNS, "probs": EXAMPLE_PROBS}))
+    streamed = tmp_path / "streamed.json"
+    streamed.write_text(json.dumps(STREAMED.to_dict()))
     before = {name: dict(vars(mod)) for name, mod in MODS.items()}
     trace = tracer.Tracer()
     tracer.install(trace, MODS)
@@ -39,6 +43,9 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, capsys):
         assert cli.main(["verify", str(path), "--K", "2", "--samples", "2"]) == 0
         assert cli.main(["eval", str(path), "--measure", "downFirstApprox", "--K", "3",
                          "--phi=0.1,0.1"]) == 0
+        # a streamed enumeration: lead blocks from one cached suffix table
+        assert cli.main(["eval", str(streamed), "--measure", "curFirstApprox", "--K", "11",
+                         "--phi=0.05,0.02"]) == 0
     finally:
         trace.uninstall()
     capsys.readouterr()

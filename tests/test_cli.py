@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,61 @@ class TestNonFiniteInput:
     def test_nan_phi_is_validation_not_domain(self, matrix_file, capsys):
         assert main(["eval", matrix_file, "--measure", "down", "--phi=nan,0"]) == 1
         assert "finite" in capsys.readouterr().err
+
+
+#: Exit code of ``eval`` at phi = (1e200, 1e200) on the reference game: the
+#: log forms are not admissible there, the linearizations are finite, the loss
+#: forms are -inf and the gain forms undefined, as at any point of that ray
+#: beyond the admissible set.
+HUGE_EVAL_EXIT = {"down": 2, "downX": 0, "downFirstApprox": 0, "upExpect": 2,
+                  "cur": 2, "curX": 0, "curFirstApprox": 0, "runupExpect": 2}
+
+REGIME_NOTE = ("note: small-scale regime not verified at this point; "
+               "the coefficient form is an approximation here\n")
+
+
+def quiet_main(argv, capsys):
+    """Exit code, stdout and stderr of ``main``, with every warning recorded as a failure."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert not caught, [str(w.message) for w in caught]
+    assert "nan" not in out and "Warning" not in err
+    return code, out, err
+
+
+@pytest.mark.parametrize("measure", sorted(HUGE_EVAL_EXIT))
+@pytest.mark.parametrize("command", ["eval", "surface"])
+@pytest.mark.parametrize("size", ["1e200", "1e308"])
+def test_finite_inputs_that_overflow_keep_their_exit_codes(matrix_file, capsys, measure, command,
+                                                           size):
+    # |T| @ |phi| overflows at 1e308 and not at 1e200, where only the squares
+    # of the norm overflow
+    where = f"--phi={size},{size}" if command == "eval" else f"--grid=0:{size}:2,0:{size}:2"
+    code, out, err = quiet_main([command, matrix_file, "--measure", measure, "--K", "3", where],
+                                capsys)
+    if size == "1e308":
+        assert (code, out) == (1, "")
+        assert "overflows" in err
+    elif command == "surface":
+        assert code == 0
+        assert len(out.splitlines()) == 5
+    else:
+        assert code == HUGE_EVAL_EXIT[measure]
+        in_range = quiet_main(["eval", matrix_file, "--measure", measure, "--K", "3",
+                               "--phi=7071067.8,7071067.8"], capsys)
+        if measure.endswith(("FirstApprox", "Expect")):
+            # the in-range point on the same ray
+            assert (code, out, err) == in_range
+            assert (out, err) == (("-inf\n", REGIME_NOTE) if code == 0 else ("", err))
+
+
+def test_grid_span_that_overflows_exits_one(matrix_file, capsys):
+    code, out, err = quiet_main(["surface", matrix_file, "--measure", "curX",
+                                 "--grid=-1e308:1e308:3,-1e308:1e308:3"], capsys)
+    assert (code, out) == (1, "")
+    assert "span" in err
 
 
 def test_cli_import_leaves_scipy_optimize_out():

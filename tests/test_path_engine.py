@@ -19,6 +19,7 @@ from drawdown_risk import (
     enumerate_paths,
     linear_topping_point,
     multinomial_coefficient,
+    path_engine,
     runup_log,
     twr_segment,
     twr_topping_point,
@@ -94,6 +95,20 @@ def test_iter_path_blocks_matches_product():
     stacked = np.concatenate(blocks, axis=0)
     expected = np.array(list(itertools.product(range(3), repeat=4)))
     assert np.array_equal(stacked, expected)
+
+
+@pytest.mark.parametrize("block", [1, 4, 16, 100])
+def test_iter_path_blocks_read_the_block_size_when_called(monkeypatch, block):
+    monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
+    for n in (1, 2, 3, 5):
+        for draws in range(1, 6):
+            blocks = list(iter_path_blocks(n, draws))
+            expected = np.array(list(itertools.product(range(n), repeat=draws)))
+            assert np.array_equal(np.concatenate(blocks), expected)
+            lead, tail, per = path_engine.path_split(n, draws)
+            assert len(blocks) == -(-(n**lead) // per)
+            assert {len(b) for b in blocks[:-1]} <= {per * n**tail}
+            assert max(len(b) for b in blocks) <= max(block, n)
 
 
 class TestTwrSegment:

@@ -3,8 +3,11 @@
 ``linear_topping_blocks`` decides most signs with a float filter and builds
 integer counts only for what it leaves open; ``drawdown_coefficients`` adds
 each path weight once per step; ``eval`` of a drawdown coefficient form reads
-one set of linear topping points for its value and its regime flag.  Each is
-checked against an exact oracle or the full-tensor route it replaced.
+one set of linear topping points for its value and its regime flag.  A
+streamed enumeration tops one suffix table and one lead table and combines
+them per lead block; with ``path_engine._PATH_BLOCK`` patched small, that
+combine runs on every fixture game.  Each is checked against an exact oracle or the
+full-tensor route it replaced.
 """
 
 from __future__ import annotations
@@ -114,9 +117,12 @@ def test_zero_sum_count_vector_never_tops_at_its_end(example_matrix):
 
 
 def add_at_tables(matrix, theta, draws):
-    """Lambda and Upsilon with one masked ``np.add.at`` per topping level and step."""
+    """Lambda and Upsilon with one masked ``np.add.at`` per topping level and step.
+
+    The blocks are those of the pass, which sum in block order.
+    """
     lam, ups = np.zeros((2, draws + 1, matrix.n_periods))
-    for digits in iter_path_blocks(matrix.n_periods, draws):
+    for digits in path_engine.iter_path_blocks(matrix.n_periods, draws):
         w = np.prod(matrix.probs[digits], axis=1)
         top = path_engine.linear_topping_blocks(matrix.returns, digits, theta)
         for level in range(draws + 1):
@@ -131,16 +137,26 @@ def add_at_tables(matrix, theta, draws):
     return lam, ups
 
 
-#: N = 3 at K = 11 streams 3^11 = 177,147 paths in three digit blocks.
+#: N = 3 at K = 11 streams 3^11 = 177,147 paths in three lead blocks of 3^10.
 STREAMED = TradeMatrix([[0.5, -0.2], [-0.4, 0.6], [0.1, -0.3]], [0.4, 0.35, 0.25])
+
+#: N = 2 at K = 17 streams two lead blocks of 2^16 paths.
+TWO_ROWS = TradeMatrix([[0.6, -0.3], [-0.5, 0.4]], [0.55, 0.45])
 
 
 TABLE_CASES = {f"{name}-K{draws}": (GAMES[name], draws) for name in sorted(GAMES) for draws in (1, 3, 5)}
-TABLE_CASES["streamed-K11"] = (lambda: STREAMED, 11)
+#: Block sizes that split the paths of the small table cases into leads and suffixes.
+FORCED_BLOCKS = (1, 4, 16)
+SPLIT_CASES = [(case, block) for case in sorted(TABLE_CASES) for block in FORCED_BLOCKS]
+TABLE_CASES.update({
+    "streamed-K11": (lambda: STREAMED, 11),
+    "reference-K9": (GAMES["reference"], 9),
+    "random-K7": (GAMES["random"], 7),
+    "two-rows-K17": (lambda: TWO_ROWS, 17),
+})
 
 
-@pytest.mark.parametrize("case", sorted(TABLE_CASES))
-def test_drawdown_tables_bitwise_equal_add_at_loop(case):
+def assert_tables_bitwise_equal_add_at_loop(case):
     game, draws = TABLE_CASES[case]
     matrix = game()
     thetas = plain_directions(matrix.n_systems, draws)[-3:]
@@ -152,6 +168,68 @@ def test_drawdown_tables_bitwise_equal_add_at_loop(case):
         want_lam, want_ups = add_at_tables(matrix, theta, draws)
         assert lam.values.tobytes() == want_lam.tobytes()
         assert ups.values.tobytes() == want_ups.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_drawdown_tables_bitwise_equal_add_at_loop(case):
+    assert_tables_bitwise_equal_add_at_loop(case)
+
+
+@pytest.mark.parametrize("case, block", SPLIT_CASES)
+def test_split_drawdown_tables_bitwise_equal_add_at_loop(case, block, monkeypatch):
+    monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
+    assert_tables_bitwise_equal_add_at_loop(case)
+
+
+def all_paths(n, draws):
+    return np.array(list(itertools.product(range(n), repeat=draws)))
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_split_topping_equals_exact_oracle(name, monkeypatch):
+    # lead x suffix topping points against exact prefix sums; with the M = 2
+    # tie directions some lead and suffix pairs need the combine's exact rule
+    matrix = GAMES[name]()
+    calls = []
+    signs = risk_measures.linear_signs
+    monkeypatch.setattr(risk_measures, "linear_signs",
+                        lambda *a, **k: calls.append(1) or signs(*a, **k))
+    for draws in range(1, 6):
+        digits = all_paths(matrix.n_periods, draws)
+        for theta in tie_directions(name, matrix, draws) + plain_directions(matrix.n_systems, draws):
+            want = exact_topping(matrix.returns.tolist(), theta.tolist(), digits)
+            for block in FORCED_BLOCKS:
+                monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
+                pairs = list(risk_measures._topped_blocks(matrix, theta, draws, None))
+                assert np.array_equal(np.concatenate([d for d, _ in pairs]), digits)
+                assert np.concatenate([top for _, top in pairs]).tolist() == want, (theta, block)
+    assert bool(calls) == (matrix.n_systems == 2)
+
+
+def per_path_small_s_cur(matrix, s, theta, draws):
+    """Compounded topping points (with the tie band) against exact linear ones, path by path."""
+    rows = path_engine.log_hpr_rows(matrix, s * theta)
+    if np.isneginf(rows).any():
+        return False
+    digits = all_paths(matrix.n_periods, draws)
+    compounded = path_engine.topping_from_prefix(np.cumsum(rows[digits], axis=1),
+                                                 path_engine.TOPPING_TIE_TOL)
+    return compounded.tolist() == exact_topping(matrix.returns.tolist(), theta.tolist(), digits)
+
+
+@pytest.mark.parametrize("block", FORCED_BLOCKS)
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_split_small_s_cur_verified_equals_per_path_oracle(name, block, monkeypatch):
+    matrix = GAMES[name]()
+    monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
+    seen = set()
+    for draws in (2, 4):
+        for theta in tie_directions(name, matrix, draws)[:3] + plain_directions(matrix.n_systems, 7):
+            for s in (1e-4, 0.05, 0.3):
+                want = per_path_small_s_cur(matrix, s, theta, draws)
+                assert small_s_cur_verified(matrix, s, theta, draws) is want, (theta, s)
+                seen.add(want)
+    assert seen == {True, False}
 
 
 FORMS = {"curFirstApprox": d_cur_first_approx, "runupExpect": u_run_expect}
@@ -206,7 +284,9 @@ def test_eval_matches_form_composed_with_flag(example_matrix, tmp_path, capsys, 
 @pytest.mark.parametrize("measure", sorted(FORMS))
 @pytest.mark.parametrize("streamed", [False, True])
 def test_eval_tops_each_digit_block_once(tmp_path, capsys, monkeypatch, measure, streamed):
-    matrix, draws, blocks = (STREAMED, 11, 3) if streamed else (GAMES["reference"](), 4, 1)
+    # a streamed pass tops its suffix table and its lead table, however many
+    # lead blocks it has; a single block is topped once
+    matrix, draws, calls_per_pass = (STREAMED, 11, 2) if streamed else (GAMES["reference"](), 4, 1)
     path = game_file(tmp_path, matrix)
     calls = []
     topping = risk_measures.linear_topping_blocks
@@ -217,4 +297,4 @@ def test_eval_tops_each_digit_block_once(tmp_path, capsys, monkeypatch, measure,
         calls.clear()
         code, _, _ = run_eval(path, measure, draws, phi, capsys)
         assert code == 0
-        assert len(calls) == blocks
+        assert len(calls) == calls_per_pass
