@@ -37,9 +37,12 @@ block pass for many points and quantities.
 Path blocks are lead-aligned and built from digit tables cached by
 ``_cached_digits``.  The linear topping points of a block come from one
 producer, ``_topped_blocks``, read by both ``_topping_pass`` and
-``small_s_cur_verified``: a streamed enumeration tops its suffix table and
-its lead table once each and combines them exactly per lead block, instead
-of topping every block from scratch.
+``small_s_cur_verified``.  A single block is topped in one call.  A streamed
+enumeration tops its lead table and the two halves of its suffix table once
+each; one exact rule, ``_combine``, joins the halves into the suffix table
+and that with each lead block, instead of topping every block from scratch.
+Before the drawdown regime flag reads any path, ``_regime_ruled_out`` looks
+for a witness path built from the count plan.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -348,25 +351,27 @@ def _require_reach(matrix: TradeMatrix, phis: np.ndarray) -> None:
 
 
 def _radius(matrix: TradeMatrix, arr: np.ndarray) -> float:
-    """Euclidean norm of a point, after the rule of ``_require_reach``.
+    """Euclidean norm of a nonzero point, after the rule of ``_require_reach``.
 
-    Where the squares overflow, the norm of the point scaled to a largest
-    entry of 1 is scaled back, so every norm the plain one gives is kept.
-    Both checks are skipped where the bounds 2 * max |phi| * row_reach and
-    2 * M * max |phi|^2 show that nothing overflows.
+    Where the squares overflow, or all underflow to 0, the norm of the point
+    scaled to a largest entry of 1 is scaled back, so every other norm the
+    plain one gives is kept.  Both checks are skipped where the bounds
+    2 * max |phi| * row_reach and 2 * M * max |phi|^2 show that nothing
+    overflows.
     """
     top = max(map(abs, arr.tolist()))
     if 2.0 * top * matrix.row_reach < math.inf and 2.0 * top * top * len(arr) < math.inf:
-        return float(np.linalg.norm(arr))
-    _require_reach(matrix, arr)
-    with np.errstate(over="ignore"):
         scale = float(np.linalg.norm(arr))
-    return scale if scale < math.inf else top * float(np.linalg.norm(arr / top))
+    else:
+        _require_reach(matrix, arr)
+        with np.errstate(over="ignore"):
+            scale = float(np.linalg.norm(arr))
+    return scale if 0.0 < scale < math.inf else top * float(np.linalg.norm(arr / top))
 
 
 def _unit_direction(matrix: TradeMatrix, theta, s: float = 0.0) -> np.ndarray:
-    if s < 0.0:
-        raise ValidationError("scale s must be >= 0")
+    if not 0.0 <= s < math.inf:
+        raise ValidationError("scale s must be finite and >= 0")
     arr = as_portions(matrix, theta)
     if not np.all(np.isfinite(arr)) or not arr.any():
         raise ValidationError("direction must be a nonzero finite vector")
@@ -438,14 +443,15 @@ def _topping_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, s=
     topping points come from ``_topped_blocks``.  Given the scale ``s``, the
     flag says whether s * theta is admissible and its compounded topping
     points are the linear ones on every path; else None.  The compounded
-    points are computed only while the flag still holds.
+    points are computed only while the flag still holds, and only after
+    ``_regime_ruled_out`` found no witness path.
     """
     n = matrix.n_periods
     blocks = _topped_blocks(matrix, theta, draws, budget)
     tables = np.zeros(2 * (draws + 1) * n)
     half = (draws + 1) * n
     rows = None if s is None else log_hpr_rows(matrix, s * theta)
-    agree = None if s is None else not np.any(np.isneginf(rows))
+    agree = None if s is None else not _regime_ruled_out(matrix, theta, rows, draws)
     for digits, top in blocks:
         w = np.prod(matrix.probs[digits], axis=1)
         lam_key = top * n
@@ -462,9 +468,10 @@ def _topped_blocks(matrix: TradeMatrix, theta, draws: int, budget: int | None):
     """(digits, exact linear topping points) of each path block, lazily.
 
     A single block is topped by one ``linear_topping_blocks`` call.  A
-    streamed enumeration tops its suffix table and its lead table once each
-    and combines them per lead (``_lead_tops``).  Draws and budget are
-    checked when called.
+    streamed enumeration tops its lead table and the two halves of its
+    suffix table once each, combines the halves into the suffix table and
+    that with each lead block (``_combine``).  Draws and budget are checked
+    when called.
     """
     n, returns = matrix.n_periods, matrix.returns
     blocks = _path_digit_blocks(matrix, draws, budget)
@@ -474,51 +481,111 @@ def _topped_blocks(matrix: TradeMatrix, theta, draws: int, budget: int | None):
     return zip(blocks, _lead_tops(returns, theta, n, lead, tail, per))
 
 
+class _Walk(NamedTuple):
+    """Paths with their exact linear topping points and float walk values.
+
+    ``peak`` is the walk at the topping point (0 at point 0), ``end`` the
+    walk at the last step and ``scale`` twice the path's sum of |<t_j, theta>|,
+    which bounds the magnitude of every partial sum of the path.
+    """
+
+    digits: np.ndarray
+    top: np.ndarray
+    peak: np.ndarray
+    end: np.ndarray
+    scale: np.ndarray
+
+
+def _walked(returns: np.ndarray, theta, digits: np.ndarray) -> _Walk:
+    """A table of paths topped by one ``linear_topping_blocks`` call."""
+    top = linear_topping_blocks(returns, digits, theta)
+    walk = np.hstack([np.zeros((len(digits), 1)), linear_prefix_blocks(returns, digits, theta)])
+    scale = 2.0 * (np.abs(returns) @ np.abs(theta))[digits].sum(axis=1)
+    return _Walk(digits, top, walk[np.arange(len(top)), top], walk[:, -1], scale)
+
+
+def _combine(returns: np.ndarray, theta, first: _Walk, second: _Walk) -> _Walk:
+    """The paths first[a] followed by second[q], every a and q, as (A, Q) arrays (no digits).
+
+    First part a has exact top t_a, float peak P_a and end L_a; second part q
+    has exact top t_q and float peak M_q.  Path (a, q) tops at m + t_q, m the
+    length of a, when t_q > 0 and (L_a - P_a) + M_q is exactly positive, else
+    at t_a (the first index wins ties).  That sign is the linear outcome of
+    a's steps after t_a and q's first t_q steps: a float filter with the error
+    bound of ``linear_topping_blocks`` decides it, and counts are built, and
+    ``linear_signs`` run, only for the pairs it leaves undecided.
+    """
+    m, steps = first.digits.shape[1], first.digits.shape[1] + second.digits.shape[1] + 1
+    rises = second.top > 0
+    values = (first.end - first.peak)[:, None] + second.peak
+    scale = first.scale[:, None] + second.scale
+    signs = np.sign(values)
+    near = rises & ~(np.abs(values) > _sign_bound(returns, scale, steps))
+    if near.any():
+        a, q = np.nonzero(near)
+        symbols = np.arange(len(returns))[:, None, None]
+        after = np.arange(m)[:, None] >= first.top[a]
+        upto = np.arange(second.digits.shape[1])[:, None] < second.top[q]
+        counts = ((first.digits[a].T == symbols) & after).sum(axis=1)
+        counts += ((second.digits[q].T == symbols) & upto).sum(axis=1)
+        signs[a, q] = linear_signs(returns, theta, counts, values[a, q], scale[a, q], steps)
+    over = rises & (signs > 0)
+    return _Walk(
+        None,
+        np.where(over, m + second.top, first.top[:, None]),
+        np.where(over, first.end[:, None] + second.peak, first.peak[:, None]),
+        first.end[:, None] + second.end,
+        scale,
+    )
+
+
 def _lead_tops(returns: np.ndarray, theta, n: int, lead: int, tail: int, per: int):
     """Exact linear topping points of the paths of ``per`` leads at a time, one array per block.
 
-    Lead a has exact top t_a, float peak P_a and end L_a; suffix q has exact
-    top t_q and float peak M_q.  Path (a, q) tops at lead + t_q when t_q > 0
-    and (L_a - P_a) + M_q is exactly positive, else at t_a (the first index
-    wins ties).  That sign is the linear outcome of the lead's steps after
-    t_a and the suffix's first t_q steps: a float filter with the error bound
-    of ``linear_topping_blocks`` decides it, and counts are built, and
-    ``linear_signs`` run, only for the pairs it leaves undecided.
+    The suffix table of m draws is the combine of its halves of floor(m / 2)
+    and ceil(m / 2) draws, each topped by one ``linear_topping_blocks`` call;
+    each lead block is then combined with it.
     """
-    leads, suffix = _cached_digits(n, lead), _cached_digits(n, tail)
-    lead_top = linear_topping_blocks(returns, leads, theta)
-    suffix_top = linear_topping_blocks(returns, suffix, theta)
-    lead_walk = np.hstack([np.zeros((len(leads), 1)), linear_prefix_blocks(returns, leads, theta)])
-    drop = lead_walk[:, -1] - lead_walk[np.arange(len(leads)), lead_top]
-    rises = suffix_top > 0
-    peak = np.where(rises, linear_prefix_blocks(returns, suffix, theta)[
-        np.arange(len(suffix)), suffix_top - 1], 0.0)
-    size = np.abs(returns) @ np.abs(theta)
-    # every partial sum of a path has at most its whole magnitude
-    lead_scale, suffix_scale = 2.0 * size[leads].sum(axis=1), 2.0 * size[suffix].sum(axis=1)
-    after = np.arange(lead) >= lead_top[:, None]
-    lead_counts = ((leads[:, :, None] == np.arange(n)) & after[:, :, None]).sum(axis=1)
-    symbols = np.arange(n)[:, None, None]
-
-    def tops(a):
-        values = drop[a] + peak
-        scale = lead_scale[a] + suffix_scale
-        signs = np.sign(values)
-        near = rises & ~(np.abs(values) > _sign_bound(returns, scale, lead + tail + 1))
-        if near.any():
-            (q,) = np.nonzero(near)
-            first = (np.arange(tail) < suffix_top[q, None]).T
-            counts = lead_counts[a][:, None] + ((suffix[q].T == symbols) & first).sum(axis=1)
-            signs[q] = linear_signs(returns, theta, counts, values[q], scale[q], lead + tail + 1)
-        return np.where(rises & (signs > 0), lead + suffix_top, lead_top[a])
-
-    for a0 in range(0, len(leads), per):
-        yield np.concatenate([tops(a) for a in range(a0, min(a0 + per, len(leads)))])
+    leads, digits = _walked(returns, theta, _cached_digits(n, lead)), _cached_digits(n, tail)
+    if tail > 1:
+        halves = (_walked(returns, theta, _cached_digits(n, m)) for m in (tail // 2, tail - tail // 2))
+        suffix = _Walk(digits, *(field.ravel() for field in _combine(returns, theta, *halves)[1:]))
+    else:
+        suffix = _walked(returns, theta, digits)
+    for a0 in range(0, len(leads.top), per):
+        part = _Walk(*(field[a0 : a0 + per] for field in leads))
+        yield _combine(returns, theta, part, suffix).top.ravel()
 
 
 def _log_topping(rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """Compounded topping points of a path block from the per-row log HPRs."""
     return topping_from_prefix(np.cumsum(rows[digits], axis=1), TOPPING_TIE_TOL)
+
+
+def _regime_ruled_out(matrix: TradeMatrix, theta, rows: np.ndarray, draws: int) -> bool:
+    """True when the log HPRs ``rows`` are inadmissible or a witness path breaks the topping regime.
+
+    Candidates come from the cached Spitzer count plan of 1..draws draws: the
+    count vectors whose exact linear class (outcome > 0 or <= 0) differs from
+    their float compounded class.  Each becomes one path of ``draws`` draws,
+    its draws in ascending order of log return, then padded with the lowest
+    row when that log is <= 0 (skipped otherwise).  The linear and compounded
+    topping points of every candidate come from one call each; a path where
+    they differ is a path of the full check that fails it.
+    """
+    if np.any(np.isneginf(rows)):
+        return True
+    comps = _count_plan(tuple(matrix.probs.tolist()), draws, True)[0]
+    cands = comps[(linear_signs(matrix.returns, theta, comps.T) > 0) != (comps @ rows > 0.0)]
+    order = np.argsort(rows, kind="stable")
+    if rows[order[0]] > 0.0:
+        cands = cands[cands.sum(axis=1) == draws]
+    if not len(cands):
+        return False
+    ends = np.cumsum(cands[:, order], axis=1)
+    slot = (ends[:, None, :] <= np.arange(draws)[:, None]).sum(axis=2)
+    paths = np.append(order, order[0])[slot]
+    return bool(np.any(linear_topping_blocks(matrix.returns, paths, theta) != _log_topping(rows, paths)))
 
 
 #: Coefficient kinds: the pass over their family, the count plan or path
@@ -715,7 +782,7 @@ def small_s_down_verified(
     go to the loss side on both forms).  When this holds the coefficient
     forms reproduce the path expectations exactly.
     """
-    theta = _unit_direction(matrix, theta)
+    theta = _unit_direction(matrix, theta, s)
     return _terminal_pass(matrix, theta, draws, budget, s)[2]
 
 
@@ -723,11 +790,11 @@ def small_s_cur_verified(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> bool:
     """True when compounded and linear topping points agree on every path (early exit)."""
-    theta = _unit_direction(matrix, theta)
+    theta = _unit_direction(matrix, theta, s)
     # the flag of _topping_pass without its tables, which would cost every call
     blocks = _topped_blocks(matrix, theta, draws, budget)
     rows = log_hpr_rows(matrix, s * theta)
-    if np.any(np.isneginf(rows)):
+    if _regime_ruled_out(matrix, theta, rows, draws):
         return False
     return all(np.array_equal(_log_topping(rows, digits), top) for digits, top in blocks)
 
@@ -784,11 +851,11 @@ def evaluate_measure(
     arr = as_portions(matrix, phi)
     if kind in _COUNT_KINDS:
         return MeasureEvaluation(kind, float(_count_value(matrix, kind, arr, draws, budget)[-1]))
-    scale = _radius(matrix, arr)
-    if scale == 0.0:
+    if not arr.any():
         # every log term vanishes, but the draws and budget rules of the kind's pass hold
         _COEFFICIENT_KINDS[kind][1](matrix, draws, budget)
         return MeasureEvaluation(kind, 0.0, True if check_small_s else None)
+    scale = _radius(matrix, arr)
     value, flag = _coefficient_value(matrix, kind, scale, arr / scale, draws, budget, check_small_s)
     return MeasureEvaluation(kind, value, flag)
 

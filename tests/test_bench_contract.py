@@ -1,9 +1,10 @@
 """Every package name the benchmark in ``bench/`` reaches still exists and still traces.
 
 The benchmark reads the cache statistics of two ``lru_cache`` functions and
-wraps the public functions of five modules, on single-block and streamed
-path enumerations alike.  A refactor that deletes or
-renames one of them fails here rather than in a benchmark run.
+wraps the public functions of five modules, among them the path helpers
+``risk_measures`` looks up for its prefix and topping layers, on single-block
+and streamed path enumerations alike.  A refactor that deletes or renames one
+of them, or stops reaching it, fails here rather than in a benchmark run.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, capsys):
         # a streamed enumeration: lead blocks from one cached suffix table
         assert cli.main(["eval", str(streamed), "--measure", "curFirstApprox", "--K", "11",
                          "--phi=0.05,0.02"]) == 0
+        # a point whose regime flag a witness path rejects before any path check
+        assert cli.main(["eval", str(streamed), "--measure", "runupExpect", "--K", "11",
+                         "--phi=0.3,0.1"]) == 0
     finally:
         trace.uninstall()
     capsys.readouterr()
@@ -55,3 +59,5 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, capsys):
     assert metrics["verify.checks"] > 0
     assert metrics["risk_measures.count_states"] > 0
     assert metrics["path_engine.block_paths"] > 0
+    assert metrics["path_engine.prefix_s"] > 0
+    assert metrics["path_engine.topping_s"] > 0

@@ -213,6 +213,21 @@ class TestEval:
         captured = capsys.readouterr()
         assert "small-scale regime not verified" in captured.err
 
+    @pytest.mark.parametrize("measure", ["downFirstApprox", "curFirstApprox"])
+    def test_zero_allocation_prints_zero_after_checks(self, matrix_file, capsys, measure):
+        argv = ["eval", matrix_file, "--measure", measure, "--phi=0,0"]
+        assert main(argv + ["--K", "3"]) == 0
+        assert capsys.readouterr().out == "0.0\n"
+        assert main(argv + ["--K", "0"]) == 1
+        assert main(argv + ["--K", "3", "--budget", "2"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_tiny_allocation_prints_nonzero(self, matrix_file, capsys):
+        for measure in ("downFirstApprox", "curFirstApprox"):
+            assert main(["eval", matrix_file, "--measure", measure, "--K", "3",
+                         "--phi=1e-300,0"]) == 0
+            assert float(capsys.readouterr().out) < 0.0
+
 
 class TestVerify:
     def test_reference_game_passes(self, matrix_file, capsys):

@@ -140,6 +140,17 @@ class TestFirstApproximations:
         with pytest.raises(ValidationError):
             d_first_approx(example_matrix, -0.1, DIAG, 3)
 
+    @pytest.mark.parametrize("s", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [
+        d_first_approx, u_expect, d_cur_first_approx, u_run_expect,
+        small_s_down_verified, small_s_cur_verified,
+    ])
+    def test_scale_must_be_finite_and_nonnegative(self, example_matrix, fn, s):
+        from drawdown_risk import ValidationError
+
+        with pytest.raises(ValidationError, match="scale s"):
+            fn(example_matrix, s, DIAG, 3)
+
 
 class TestCoefficientTables:
     def test_updown_split_identity(self, example_matrix):
@@ -282,6 +293,16 @@ class TestEvaluateMeasure:
         for kind in MeasureKind:
             ev = evaluate_measure(example_matrix, kind, [0.0, 0.0], 4)
             assert ev.value == 0.0
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_tiny_allocation_is_not_zero(self, example_matrix, axis):
+        # the squares of 1e-300 underflow, so the plain norm of phi is 0
+        phi = 1e-300 * np.eye(2)[axis]
+        for approx, linear in (("downFirstApprox", "downX"), ("curFirstApprox", "curX")):
+            got = evaluate_measure(example_matrix, approx, phi, 3).value
+            want = -evaluate_measure(example_matrix, linear, phi, 3).value
+            assert got != 0.0
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_dispatch_matches_direct_calls(self, example_matrix):
         phi = np.array([0.15, 0.1])

@@ -4,10 +4,12 @@
 integer counts only for what it leaves open; ``drawdown_coefficients`` adds
 each path weight once per step; ``eval`` of a drawdown coefficient form reads
 one set of linear topping points for its value and its regime flag.  A
-streamed enumeration tops one suffix table and one lead table and combines
-them per lead block; with ``path_engine._PATH_BLOCK`` patched small, that
-combine runs on every fixture game.  Each is checked against an exact oracle or the
-full-tensor route it replaced.
+streamed enumeration tops one lead table and the two halves of its suffix
+table, combines the halves into the suffix table and that with each lead
+block; with ``path_engine._PATH_BLOCK`` patched small, those combines run on
+every fixture game.  The regime flag first looks for a witness path built
+from the count plan, and runs the full path check only when it finds none.
+Each is checked against an exact oracle or the full route it replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 
 import oracles
 from drawdown_risk import (
+    AdmissibleSet,
     DomainError,
     TradeMatrix,
     d_cur_first_approx,
@@ -187,23 +190,36 @@ def all_paths(n, draws):
 
 @pytest.mark.parametrize("name", sorted(GAMES))
 def test_split_topping_equals_exact_oracle(name, monkeypatch):
-    # lead x suffix topping points against exact prefix sums; with the M = 2
-    # tie directions some lead and suffix pairs need the combine's exact rule
+    # lead x suffix topping points against exact prefix sums, with suffix
+    # tables of two or more draws combined from their halves (of unequal
+    # lengths at N = 3 and N = 4 with the block of 64); with the M = 2 tie
+    # directions some pairs need the combine's exact rule, in the halves
+    # combine too, whose sums have tail + 1 steps
     matrix = GAMES[name]()
-    calls = []
+    n = matrix.n_periods
+    steps = []
     signs = risk_measures.linear_signs
     monkeypatch.setattr(risk_measures, "linear_signs",
-                        lambda *a, **k: calls.append(1) or signs(*a, **k))
+                        lambda *a, **k: steps.append(a[5] if len(a) > 5 else 0) or signs(*a, **k))
+    exact, tails, halves_exact = False, set(), False
     for draws in range(1, 6):
-        digits = all_paths(matrix.n_periods, draws)
-        for theta in tie_directions(name, matrix, draws) + plain_directions(matrix.n_systems, draws):
+        digits = all_paths(n, draws)
+        ties = tie_directions(name, matrix, draws)
+        for theta in ties + plain_directions(matrix.n_systems, draws):
             want = exact_topping(matrix.returns.tolist(), theta.tolist(), digits)
-            for block in FORCED_BLOCKS:
+            for block in FORCED_BLOCKS + (64,):
                 monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
+                lead, tail, _ = path_engine.path_split(n, draws)
+                steps.clear()
                 pairs = list(risk_measures._topped_blocks(matrix, theta, draws, None))
                 assert np.array_equal(np.concatenate([d for d, _ in pairs]), digits)
                 assert np.concatenate([top for _, top in pairs]).tolist() == want, (theta, block)
-    assert bool(calls) == (matrix.n_systems == 2)
+                exact |= bool(steps)
+                if lead and tail > 1:
+                    tails.add(tail)
+                    halves_exact |= any(theta is t for t in ties) and tail + 1 in steps
+    assert exact == halves_exact == (matrix.n_systems == 2)
+    assert 2 in tails and (3 in tails) == (n < 5)
 
 
 def per_path_small_s_cur(matrix, s, theta, draws):
@@ -284,9 +300,10 @@ def test_eval_matches_form_composed_with_flag(example_matrix, tmp_path, capsys, 
 @pytest.mark.parametrize("measure", sorted(FORMS))
 @pytest.mark.parametrize("streamed", [False, True])
 def test_eval_tops_each_digit_block_once(tmp_path, capsys, monkeypatch, measure, streamed):
-    # a streamed pass tops its suffix table and its lead table, however many
-    # lead blocks it has; a single block is topped once
-    matrix, draws, calls_per_pass = (STREAMED, 11, 2) if streamed else (GAMES["reference"](), 4, 1)
+    # a streamed pass tops its lead table and the two halves of its suffix
+    # table, however many lead blocks it has; a single block is topped once;
+    # the regime flag may top its stacked witness paths once more
+    matrix, draws, calls_per_pass = (STREAMED, 11, 3) if streamed else (GAMES["reference"](), 4, 1)
     path = game_file(tmp_path, matrix)
     calls = []
     topping = risk_measures.linear_topping_blocks
@@ -297,4 +314,77 @@ def test_eval_tops_each_digit_block_once(tmp_path, capsys, monkeypatch, measure,
         calls.clear()
         code, _, _ = run_eval(path, measure, draws, phi, capsys)
         assert code == 0
-        assert len(calls) == calls_per_pass
+        assert len(calls) - calls_per_pass in (0, 1)
+
+
+def full_path_flag(monkeypatch):
+    """Leave the regime flag to admissibility and the full path check: no witness search."""
+    monkeypatch.setattr(risk_measures, "_regime_ruled_out",
+                        lambda matrix, theta, rows, draws: bool(np.isneginf(rows).any()))
+
+
+#: Relative scales along a ray, as shares of its distance to the boundary;
+#: 1.5 is an inadmissible point.
+SHARES = (1e-8, 1e-4, 0.01, 0.1, 0.3, 0.6, 0.9, 1.5)
+
+
+def ray_points(matrix, thetas):
+    region = AdmissibleSet(matrix)
+    for theta in thetas:
+        theta = theta / np.linalg.norm(theta)
+        radius = region.max_radius(theta)
+        for share in SHARES:
+            yield share * (radius if math.isfinite(radius) else 1.0), theta
+
+
+#: (game, draws, block): single-block passes, and passes that a patched block
+#: splits into lead blocks and suffix halves.
+FLAG_CASES = [
+    ("reference", 4, None), ("reference", 5, 64), ("flat", 5, 16), ("dependent", 3, None),
+    ("dependent", 5, 64), ("random", 3, None), ("random", 4, 64),
+]
+
+
+@pytest.mark.parametrize("name, draws, block", FLAG_CASES)
+def test_witness_first_flag_equals_full_path_flag(name, draws, block, monkeypatch):
+    matrix = GAMES[name]()
+    if block:
+        monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
+    thetas = tie_directions(name, matrix, min(draws, 3))[:3] + plain_directions(matrix.n_systems, draws)
+    points = list(ray_points(matrix, thetas))
+    witnessed = [risk_measures._regime_ruled_out(
+        matrix, theta, path_engine.log_hpr_rows(matrix, s * theta), draws) for s, theta in points]
+    fast = [small_s_cur_verified(matrix, s, theta, draws) for s, theta in points]
+    full_path_flag(monkeypatch)
+    full = [small_s_cur_verified(matrix, s, theta, draws) for s, theta in points]
+    assert fast == full
+    # both routes decide some points: a witness, or a path check that passes
+    assert not any(f and w for f, w in zip(full, witnessed))
+    assert any(witnessed) and any(full)
+
+
+def test_witness_first_eval_notes_equal_full_path_notes(tmp_path, capsys, monkeypatch):
+    cases = [(GAMES["reference"](), 4, (0.01, 0.01), (0.3, 0.1), (1.5, 0.2), (1e-160, 1e-160),
+              (0.2, -0.1), (-0.05, 0.02)),
+             (STREAMED, 11, (0.01, 0.01), (0.05, 0.02), (0.3, 0.1), (2.0, 0.1))]
+    runs = [(game_file(tmp_path, matrix), draws, phi) for matrix, draws, *phis in cases for phi in phis]
+    fast = [run_eval(path, measure, draws, phi, capsys)
+            for path, draws, phi in runs for measure in sorted(FORMS)]
+    full_path_flag(monkeypatch)
+    assert fast == [run_eval(path, measure, draws, phi, capsys)
+                    for path, draws, phi in runs for measure in sorted(FORMS)]
+    assert {err for _, _, err in fast} == {"", NOTE}
+
+
+def test_tiny_scale_flag_is_left_to_the_path_check(example_matrix, tmp_path, capsys):
+    # no count vector changes class at 1e-160, yet the absolute tie band of the
+    # compounded topping points ties every prefix sum: only the paths show it
+    phi = np.array([1e-160, 1e-160])
+    s = float(np.linalg.norm(phi))
+    rows = path_engine.log_hpr_rows(example_matrix, phi)
+    assert not risk_measures._regime_ruled_out(example_matrix, phi / s, rows, 3)
+    assert small_s_cur_verified(example_matrix, s, phi / s, 3) is False
+    path = game_file(tmp_path, example_matrix)
+    assert run_eval(path, "curFirstApprox", 3, (1e-160, 1e-160), capsys)[2] == NOTE
+    assert run_eval(path, "curFirstApprox", 3, (1e-6, 1e-6), capsys)[2] == ""
+
