@@ -131,9 +131,15 @@ def _fmt_vec(vec) -> str:
 
 
 def _load_input(path, probs_text) -> tuple[TradeMatrix, market_bridge.OnePeriodMarket | None]:
-    """The trade matrix of a game or market file, and the market if it is one."""
+    """The trade matrix of a game or market file, and the market if it is one.
+
+    ``--probs`` sets the row probabilities of a game; a market file has its
+    own scenario probabilities, so the flag is an error there.
+    """
     probs = _parse_probs(probs_text)
     if market_bridge.is_market_file(path):
+        if probs is not None:
+            raise ValidationError("--probs applies to a trade matrix, not a market file")
         market = market_bridge.load_market(path)
         return market_bridge.build_trade_matrix(market), market
     return load_trade_matrix(path, probs), None
@@ -215,10 +221,8 @@ def _cmd_surface(args) -> int:
 def _cmd_converge(args) -> int:
     matrix, _ = _load_input(args.input, args.probs)
     phi = parse_phi(args.phi)
-    lines = ["K,value"]
-    if args.Kmax >= 1:
-        series = risk_measures.rho_cur_series(matrix, phi, args.Kmax, args.budget)
-        lines += [f"{draws},{value!r}" for draws, value in enumerate(series.tolist(), 1)]
+    series = risk_measures.rho_cur_series(matrix, phi, args.Kmax, args.budget)
+    lines = ["K,value"] + [f"{draws},{value!r}" for draws, value in enumerate(series.tolist(), 1)]
     _write_output(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -7,8 +7,9 @@ place the path budget, N^K paths, is checked; ``enumerate_paths`` is a
 per-path view of it.  A path is a lead of j digits followed by a suffix of
 m, with N^m the largest power of N within the block size (``path_split``),
 and each block is as many whole leads as fit, each followed by the one
-table of all N^m suffixes, so a caller that caches that table builds no
-block from scratch.  Count vectors live in ``risk_measures``.
+table of all N^m suffixes.  The lead and suffix tables are cached
+(``_cached_digits``), so no caller builds a block from scratch.  Count
+vectors live in ``risk_measures``.
 
 Each pathwise quantity is defined once, on prefix log sums of shape (B, K)
 (``*_from_prefix``); the single-path functions are one-row calls of them.
@@ -21,6 +22,7 @@ and the linear topping point, comes from one exact rule, ``linear_signs``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -65,48 +67,53 @@ def _check_budget(size: int, budget: int | None, what: str) -> None:
         )
 
 
-def digit_block(n: int, draws: int) -> np.ndarray:
-    """All n^draws paths of ``draws`` draws as 0-based digits, (n^draws, draws), lexicographic."""
-    return np.stack(np.unravel_index(np.arange(n**draws), (n,) * draws), axis=1)
+@functools.lru_cache(maxsize=8)
+def _cached_digits(n: int, draws: int) -> np.ndarray:
+    """All n^draws paths of ``draws`` draws as 0-based digits, (n^draws, draws), lexicographic.
+
+    The lead and suffix tables of the path blocks; read only.
+    """
+    digits = np.stack(np.unravel_index(np.arange(n**draws), (n,) * draws), axis=1)
+    digits.setflags(write=False)
+    return digits
 
 
-def path_split(n: int, draws: int, block: int | None = None) -> tuple[int, int, int]:
+def path_split(n: int, draws: int) -> tuple[int, int, int]:
     """Lead and suffix lengths (j, m) of the blocks of ``iter_path_blocks``, and leads per block.
 
-    m is the largest length up to ``draws`` with n^m <= max(block, n), and a
-    block holds as many whole leads as fit in that bound; ``block`` defaults
-    to ``_PATH_BLOCK``, read when called.
+    m is the largest length up to ``draws`` with n^m <= max(_PATH_BLOCK, n),
+    and a block holds as many whole leads as fit in that bound; the block
+    size is read when called.
     """
-    limit = max(_PATH_BLOCK if block is None else block, n)
+    limit = max(_PATH_BLOCK, n)
     tail = 1
     while tail < draws and n ** (tail + 1) <= limit:
         tail += 1
     return draws - tail, tail, limit // n**tail
 
 
-def iter_path_blocks(
-    n: int, draws: int, budget: int | None = None, block: int | None = None, table=digit_block
-) -> Iterator[np.ndarray]:
+def iter_path_blocks(n: int, draws: int, budget: int | None = None) -> Iterator[np.ndarray]:
     """0-based path index arrays of shape (B, draws), in lexicographic order.
 
     Each block is one or more whole leads of j digits, each followed by all
     n^m suffixes, with the sizes from ``path_split``, so no block exceeds
-    max(block, n) paths.  ``table(n, k)`` gives all paths of k draws, for the
-    leads and the suffixes; a caller may pass a cached one.  ``draws`` and the
-    budget are checked when called, before the first block.
+    max(_PATH_BLOCK, n) paths.  The leads and suffixes come from the cached
+    tables of ``_cached_digits``; a single-block enumeration yields its
+    read-only table itself.  ``draws`` and the budget are checked when
+    called, before the first block.
     """
     if draws < 1:
         raise ValidationError("draws must be >= 1")
     _check_budget(n**draws, budget, "path")
-    return _lead_blocks(n, *path_split(n, draws, block), table)
+    return _lead_blocks(n, *path_split(n, draws))
 
 
-def _lead_blocks(n: int, lead: int, tail: int, per: int, table) -> Iterator[np.ndarray]:
-    suffix = table(n, tail)
+def _lead_blocks(n: int, lead: int, tail: int, per: int) -> Iterator[np.ndarray]:
+    suffix = _cached_digits(n, tail)
     if not lead:
         yield suffix
         return
-    leads = table(n, lead)
+    leads = _cached_digits(n, lead)
     for a0 in range(0, len(leads), per):
         rows = leads[a0 : a0 + per]
         out = np.empty((len(rows), len(suffix), lead + tail), dtype=suffix.dtype)
@@ -238,16 +245,16 @@ def runup_log(matrix: TradeMatrix, phi, omega) -> float:
     return float(runup_from_prefix(_path_prefix(matrix, phi, omega))[0])
 
 
-def topping_from_prefix(prefix: np.ndarray, tie_tol: float = 0.0) -> np.ndarray:
+def topping_from_prefix(prefix: np.ndarray) -> np.ndarray:
     """First topping points of prefix-sum rows.
 
     For each row: 0 when no prefix exceeds 0, otherwise the smallest 1-based
-    index whose value is strictly positive and within ``tie_tol`` of the row
-    maximum (first index wins on ties).
+    index whose value is strictly positive and within ``TOPPING_TIE_TOL`` of
+    the row maximum (first index wins on ties).
     """
     pre = np.atleast_2d(prefix)
     peak = pre.max(axis=1)
-    cand = (pre >= (peak - tie_tol)[:, None]) & (pre > 0.0)
+    cand = (pre >= (peak - TOPPING_TIE_TOL)[:, None]) & (pre > 0.0)
     first = np.argmax(cand, axis=1) + 1
     return np.where(peak > 0.0, first, 0)
 
@@ -259,8 +266,7 @@ def twr_topping_point(matrix: TradeMatrix, phi, omega) -> int:
     sums within ``TOPPING_TIE_TOL`` of the maximum are treated as ties and
     the earliest index wins.
     """
-    prefix = _path_prefix(matrix, phi, omega)
-    return int(topping_from_prefix(prefix, TOPPING_TIE_TOL)[0])
+    return int(topping_from_prefix(_path_prefix(matrix, phi, omega))[0])
 
 
 def linear_prefix_blocks(returns: np.ndarray, digits: np.ndarray, theta) -> np.ndarray:

@@ -26,23 +26,22 @@ verification, and diagnostics for the known discontinuity of the first
 approximation.  Each family is one pass, by the exact sign rule of
 ``path_engine``: ``_terminal_pass`` splits the level-K count vectors (D, U),
 ``_topping_pass`` groups paths by linear topping point (Lambda, Upsilon).
-Given a scale, a pass also returns its small-scale regime flag, so a checked
-coefficient kind reads the count plan or the paths once.  N^K paths are
-enumerated only for the drawdown families (``curFirstApprox``,
-``runupExpect``), ``small_s_cur_verified`` and the path expectations, which
-weight the pathwise quantities of ``path_engine`` over path blocks.  The
+Given a scale, a pass also returns its small-scale regime flag.  Both flags
+read the count plan, none of the N^K paths: the terminal flag compares
+classes at level K, and the drawdown flag is False exactly when the point is
+inadmissible or ``_regime_ruled_out`` builds a witness path from the Spitzer
+plan of 1..K draws.  N^K paths are enumerated only for the drawdown families
+(``curFirstApprox``, ``runupExpect``) and the path expectations, which weight
+the pathwise quantities of ``path_engine`` over path blocks.  The
 ``expected_*`` routes are one-point views of ``_path_expectations``, one
 block pass for many points and quantities.
 
-Path blocks are lead-aligned and built from digit tables cached by
-``_cached_digits``.  The linear topping points of a block come from one
-producer, ``_topped_blocks``, read by both ``_topping_pass`` and
-``small_s_cur_verified``.  A single block is topped in one call.  A streamed
+Path blocks are lead-aligned and built from the cached digit tables of
+``path_engine``.  The linear topping points of a block come from
+``_topped_blocks``.  A single block is topped in one call.  A streamed
 enumeration tops its lead table and the two halves of its suffix table once
 each; one exact rule, ``_combine``, joins the halves into the suffix table
 and that with each lead block, instead of topping every block from scratch.
-Before the drawdown regime flag reads any path, ``_regime_ruled_out`` looks
-for a witness path built from the count plan.
 """
 
 from __future__ import annotations
@@ -57,10 +56,9 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .path_engine import (
-    TOPPING_TIE_TOL,
+    _cached_digits,
     _check_budget,
     _sign_bound,
-    digit_block,
     drawdown_from_prefix,
     gain_from_prefix,
     iter_path_blocks,
@@ -162,19 +160,6 @@ def _composition_table(n: int, draws: int) -> np.ndarray:
     )
     table.setflags(write=False)
     return table
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_digits(n: int, draws: int) -> np.ndarray:
-    """All n^draws paths of ``draws`` draws: the lead and suffix tables of the path blocks."""
-    digits = digit_block(n, draws)
-    digits.setflags(write=False)
-    return digits
-
-
-def _path_digit_blocks(matrix: TradeMatrix, draws: int, budget: int | None):
-    """``iter_path_blocks`` of a game, from cached digit tables."""
-    return iter_path_blocks(matrix.n_periods, draws, budget, table=_cached_digits)
 
 
 def _colex_rank(comps: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -441,27 +426,22 @@ def _topping_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, s=
     unmasked ``np.add.at`` per step into one flat [Lambda | Upsilon] buffer,
     which adds to each cell in the order of a masked add per row.  The
     topping points come from ``_topped_blocks``.  Given the scale ``s``, the
-    flag says whether s * theta is admissible and its compounded topping
-    points are the linear ones on every path; else None.  The compounded
-    points are computed only while the flag still holds, and only after
-    ``_regime_ruled_out`` found no witness path.
+    flag is that of ``small_s_cur_verified``, which reads the count plan and
+    no path; else None.
     """
     n = matrix.n_periods
     blocks = _topped_blocks(matrix, theta, draws, budget)
+    flag = None if s is None else not _regime_ruled_out(matrix, theta, s, draws, budget)
     tables = np.zeros(2 * (draws + 1) * n)
     half = (draws + 1) * n
-    rows = None if s is None else log_hpr_rows(matrix, s * theta)
-    agree = None if s is None else not _regime_ruled_out(matrix, theta, rows, draws)
     for digits, top in blocks:
         w = np.prod(matrix.probs[digits], axis=1)
         lam_key = top * n
         ups_key = lam_key + half
         for pos in range(draws):
             np.add.at(tables, np.where(top <= pos, lam_key, ups_key) + digits[:, pos], w)
-        if agree:
-            agree = bool(np.all(_log_topping(rows, digits) == top))
     lam, ups = tables.reshape(2, draws + 1, n)
-    return lam, ups, agree
+    return lam, ups, flag
 
 
 def _topped_blocks(matrix: TradeMatrix, theta, draws: int, budget: int | None):
@@ -474,7 +454,7 @@ def _topped_blocks(matrix: TradeMatrix, theta, draws: int, budget: int | None):
     when called.
     """
     n, returns = matrix.n_periods, matrix.returns
-    blocks = _path_digit_blocks(matrix, draws, budget)
+    blocks = iter_path_blocks(n, draws, budget)
     lead, tail, per = path_split(n, draws)
     if not lead:
         return ((digits, linear_topping_blocks(returns, digits, theta)) for digits in blocks)
@@ -557,25 +537,24 @@ def _lead_tops(returns: np.ndarray, theta, n: int, lead: int, tail: int, per: in
         yield _combine(returns, theta, part, suffix).top.ravel()
 
 
-def _log_topping(rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """Compounded topping points of a path block from the per-row log HPRs."""
-    return topping_from_prefix(np.cumsum(rows[digits], axis=1), TOPPING_TIE_TOL)
+def _regime_ruled_out(matrix: TradeMatrix, theta, s: float, draws: int, budget) -> bool:
+    """True when s * theta is inadmissible or a witness path breaks the topping regime.
 
-
-def _regime_ruled_out(matrix: TradeMatrix, theta, rows: np.ndarray, draws: int) -> bool:
-    """True when the log HPRs ``rows`` are inadmissible or a witness path breaks the topping regime.
-
-    Candidates come from the cached Spitzer count plan of 1..draws draws: the
-    count vectors whose exact linear class (outcome > 0 or <= 0) differs from
-    their float compounded class.  Each becomes one path of ``draws`` draws,
-    its draws in ascending order of log return, then padded with the lowest
-    row when that log is <= 0 (skipped otherwise).  The linear and compounded
-    topping points of every candidate come from one call each; a path where
-    they differ is a path of the full check that fails it.
+    Candidates come from the Spitzer count plan of 1..draws draws, after its
+    draws and count budget rules: the count vectors whose exact linear class
+    (outcome > 0 or <= 0) differs from their float compounded class.  Each
+    becomes one path of ``draws`` draws, its draws in ascending order of log
+    return, then padded with the lowest row when that log is <= 0 (skipped
+    otherwise).  The linear and compounded topping points of every candidate
+    come from one call each; a path where they differ breaks the regime.
+    With no witness the regime holds: the first maximum of a walk is fixed
+    by the classes of its segments, and every segment is a count vector of
+    at most ``draws`` draws.
     """
+    comps = _count_levels(matrix.probs, draws, budget, spitzer=True)[0]
+    rows = log_hpr_rows(matrix, s * theta)
     if np.any(np.isneginf(rows)):
         return True
-    comps = _count_plan(tuple(matrix.probs.tolist()), draws, True)[0]
     cands = comps[(linear_signs(matrix.returns, theta, comps.T) > 0) != (comps @ rows > 0.0)]
     order = np.argsort(rows, kind="stable")
     if rows[order[0]] > 0.0:
@@ -585,16 +564,23 @@ def _regime_ruled_out(matrix: TradeMatrix, theta, rows: np.ndarray, draws: int) 
     ends = np.cumsum(cands[:, order], axis=1)
     slot = (ends[:, None, :] <= np.arange(draws)[:, None]).sum(axis=2)
     paths = np.append(order, order[0])[slot]
-    return bool(np.any(linear_topping_blocks(matrix.returns, paths, theta) != _log_topping(rows, paths)))
+    compounded = topping_from_prefix(np.cumsum(rows[paths], axis=1))
+    return bool(np.any(linear_topping_blocks(matrix.returns, paths, theta) != compounded))
 
 
-#: Coefficient kinds: the pass over their family, the count plan or path
-#: blocks it reads, and whether the kind takes the loss side (D, Lambda).
+def _path_rules(matrix: TradeMatrix, draws: int, budget: int | None):
+    """The draws and path budget rules of ``iter_path_blocks`` for a game."""
+    return iter_path_blocks(matrix.n_periods, draws, budget)
+
+
+#: Coefficient kinds: the pass over their family, the draws and budget rules
+#: of the count plan or path blocks it reads, and whether the kind takes the
+#: loss side (D, Lambda).
 _COEFFICIENT_KINDS = {
     MeasureKind.DOWN_FIRST_APPROX: (_terminal_pass, _terminal_plan, True),
     MeasureKind.UP_EXPECT: (_terminal_pass, _terminal_plan, False),
-    MeasureKind.CUR_FIRST_APPROX: (_topping_pass, _path_digit_blocks, True),
-    MeasureKind.RUNUP_EXPECT: (_topping_pass, _path_digit_blocks, False),
+    MeasureKind.CUR_FIRST_APPROX: (_topping_pass, _path_rules, True),
+    MeasureKind.RUNUP_EXPECT: (_topping_pass, _path_rules, False),
 }
 
 
@@ -758,7 +744,7 @@ def _path_expectations(matrix, phis, draws, budget, quantities) -> np.ndarray:
     out = np.zeros((len(quantities), len(rows)))
     if not len(rows):
         return out
-    for digits in _path_digit_blocks(matrix, draws, budget):
+    for digits in iter_path_blocks(matrix.n_periods, draws, budget):
         w = np.prod(matrix.probs[digits], axis=1)
         for g0, prefix in prefix_chunks(rows, digits):
             flat = prefix.reshape(-1, draws)
@@ -789,14 +775,14 @@ def small_s_down_verified(
 def small_s_cur_verified(
     matrix: TradeMatrix, s: float, theta, draws: int, budget: int | None = None
 ) -> bool:
-    """True when compounded and linear topping points agree on every path (early exit)."""
+    """True when compounded and linear topping points agree on every path.
+
+    Decided on the Spitzer count plan of 1..draws draws, under its count
+    budget, and no path: False exactly when s * theta is inadmissible or
+    ``_regime_ruled_out`` finds a witness path.
+    """
     theta = _unit_direction(matrix, theta, s)
-    # the flag of _topping_pass without its tables, which would cost every call
-    blocks = _topped_blocks(matrix, theta, draws, budget)
-    rows = log_hpr_rows(matrix, s * theta)
-    if _regime_ruled_out(matrix, theta, rows, draws):
-        return False
-    return all(np.array_equal(_log_topping(rows, digits), top) for digits, top in blocks)
+    return not _regime_ruled_out(matrix, theta, s, draws, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ monotonicity, small-scale equalities, topping points, row span), and reports
 pass/fail counts, formatting a failure note only when it is kept.  Quantities
 are evaluated by two routes where the design provides them (count form against
 path form, definition against running-maximum form), so the suites double as
-an end-to-end cross-check.  A suite takes each of the four measures at all its
-points from one ``risk_measures.evaluate_many`` call, and its path-form
-expectations at all its points from one pass over the path blocks.  The
-topping suite checks all its points and paths in one pass over the digit
-blocks of ``path_engine``, with one exact linear topping call per point and
-block.  The seeded samplers, the coefficient forms and the small-scale regime
-checks still run per point.
+an end-to-end cross-check.  A suite takes each of the four measures, and the
+ordering suite each first approximation, at all its points from one
+``risk_measures.evaluate_many`` call, and its path-form expectations at all
+its points from one pass over the path blocks.  The topping suite checks all
+its points and paths in one pass over the digit blocks of ``path_engine``,
+with one exact linear topping call per point and block.  The seeded samplers
+and the small-scale suite's coefficient forms and regime checks still run per
+point.
 """
 
 from __future__ import annotations
@@ -144,18 +145,11 @@ def suite_ordering(
     ed, ec = risk_measures._path_expectations(matrix, phis, draws, budget, (
         path_engine.loss_from_prefix, path_engine.drawdown_from_prefix,
     ))
-    forms, rescaled = [], []
-    for phi in phis:
-        s = float(np.linalg.norm(phi))
-        theta = phi / s
-        forms.append((
-            risk_measures.d_first_approx(matrix, s, theta, draws, budget),
-            risk_measures.d_cur_first_approx(matrix, s, theta, draws, budget),
-        ))
-        rescaled.append(s * theta)
-    d1, c1 = np.reshape(forms, (-1, 2)).T
-    # the second approximations are -downX and -curX at s * theta
-    rescaled = np.reshape(rescaled, phis.shape)
+    d1, c1 = (risk_measures.evaluate_many(matrix, kind, phis, draws, budget)
+              for kind in ("downFirstApprox", "curFirstApprox"))
+    # the second approximations are -downX and -curX at s * theta, s = |phi|
+    norms = map(np.linalg.norm, phis)
+    rescaled = np.reshape([s * (phi / s) for phi, s in zip(phis, norms)], phis.shape)
     d2, c2 = -_count_values(matrix, _MEASURES[1::2], rescaled, draws, budget)
     rd, rdx, rc, rcx = _count_values(matrix, _MEASURES, phis, draws, budget)
     slack = ORDER_SLACK
@@ -301,7 +295,7 @@ def suite_topping(
         for g0, prefix in path_engine.prefix_chunks(logs, digits):
             chunk = slice(g0, g0 + len(prefix))
             flat = prefix.reshape(-1, draws)
-            lstar = path_engine.topping_from_prefix(flat, path_engine.TOPPING_TIE_TOL)
+            lstar = path_engine.topping_from_prefix(flat)
             for g, top in enumerate(lstar.reshape(len(prefix), -1), g0):
                 lhat = path_engine.linear_topping_blocks(matrix.returns, digits, thetas[g])
                 ok_order[g] &= bool(np.all(top <= lhat))

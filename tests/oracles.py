@@ -110,6 +110,27 @@ def linear_prefix(returns, theta, omega):
     return out
 
 
+def exact_topping_flag(returns, phi, theta, draws):
+    """Whether the compounded and linear topping points agree on every path, exactly.
+
+    The holding period returns 1 + <t_i, phi> and the linear steps
+    <t_i, theta> are the exact rationals of the float inputs.  A path's
+    compounded topping point is the first index of the maximum of its HPR
+    products when that exceeds 1, else 0; its linear one is that of the exact
+    prefix sums.  False when some HPR is <= 0.
+    """
+    hprs = [1 + sum(Fraction(t) * Fraction(v) for t, v in zip(row, phi)) for row in returns]
+    if min(hprs) <= 0:
+        return False
+    steps = [sum(Fraction(t) * Fraction(v) for t, v in zip(row, theta)) for row in returns]
+    for omega in all_paths(len(returns), draws):
+        wealth = itertools.accumulate((hprs[i - 1] for i in omega), lambda a, b: a * b)
+        linear = itertools.accumulate(steps[i - 1] for i in omega)
+        if topping_point([w - 1 for w in wealth]) != topping_point(list(linear)):
+            return False
+    return True
+
+
 def linear_current_drawdown(returns, phi, omega):
     """Running-maximum form of the linearized current drawdown along a path."""
     prefix = []

@@ -100,6 +100,14 @@ class TestCheck:
     def test_unreadable_file_exit_one(self, tmp_path):
         assert main(["check", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("command", ["check", "eval", "verify"])
+    def test_probs_flag_on_a_market_exits_one(self, market_file, capsys, command):
+        argv = {"check": [], "eval": ["--measure", "down", "--phi=0.1,0.1"], "verify": []}[command]
+        assert main([command, market_file, "--probs", "0.5,0.5", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --probs applies to a trade matrix, not a market file\n"
+
     def test_csv_input_with_probs_flag(self, tmp_path, capsys):
         path = tmp_path / "game.csv"
         path.write_text("1.0,1.0\n-0.5,1.0\n1.0,-2.0\n-0.5,-2.0\n")
@@ -199,6 +207,16 @@ class TestConverge:
         out = capsys.readouterr().out
         for line in out.splitlines()[1:]:
             assert line.endswith(",0.0")
+
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    @pytest.mark.parametrize("phi", ["0.2,0.2", "0.2,0.2,0.1"])
+    def test_nonpositive_kmax_exits_one(self, matrix_file, capsys, kmax, phi):
+        # the phi and draws rules of rho_cur_series hold at every Kmax, as in eval
+        assert main(["converge", matrix_file, "--phi", phi, "--Kmax", kmax]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        if phi == "0.2,0.2":
+            assert err == "error: draws must be >= 1\n"
 
 
 class TestEval:

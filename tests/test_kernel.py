@@ -165,8 +165,9 @@ def test_cur_budget_counts_all_levels(game_file, capsys, measure):
 
 @pytest.mark.parametrize("measure", ["curFirstApprox", "runupExpect"])
 def test_drawdown_coefficient_budget_edges(game_file, capsys, measure):
-    # N=4, K=3: the drawdown families and the small-scale topping check of
-    # eval enumerate the 4^3 = 64 paths, also at phi = 0
+    # N=4, K=3: the drawdown families enumerate the 4^3 = 64 paths, also at
+    # phi = 0; the small-scale topping check of eval reads the Spitzer plan,
+    # C(3+4, 4) - 1 = 34 count states, so the path budget sets both edges
     for command in (["surface", GRID], ["eval", "--phi=0.1,0.1"], ["eval", "--phi=0,0"]):
         argv = [command[0], game_file, "--measure", measure, "--K", "3", command[1]]
         assert main(argv + ["--budget", "63"]) == 2

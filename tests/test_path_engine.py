@@ -90,8 +90,9 @@ def test_multinomial_coefficient():
     assert multinomial_coefficient((2, 2)) == 6
 
 
-def test_iter_path_blocks_matches_product():
-    blocks = list(iter_path_blocks(3, 4, block=10))
+def test_iter_path_blocks_matches_product(monkeypatch):
+    monkeypatch.setattr(path_engine, "_PATH_BLOCK", 10)
+    blocks = list(iter_path_blocks(3, 4))
     stacked = np.concatenate(blocks, axis=0)
     expected = np.array(list(itertools.product(range(3), repeat=4)))
     assert np.array_equal(stacked, expected)

@@ -7,9 +7,10 @@ one set of linear topping points for its value and its regime flag.  A
 streamed enumeration tops one lead table and the two halves of its suffix
 table, combines the halves into the suffix table and that with each lead
 block; with ``path_engine._PATH_BLOCK`` patched small, those combines run on
-every fixture game.  The regime flag first looks for a witness path built
-from the count plan, and runs the full path check only when it finds none.
-Each is checked against an exact oracle or the full route it replaced.
+every fixture game.  The regime flag reads the count plan and no enumerated
+path: it is False exactly when the point is inadmissible or a witness path
+built from the plan breaks the regime.  Each is checked against an exact
+oracle or a check over every path.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pytest
 import oracles
 from drawdown_risk import (
     AdmissibleSet,
+    BudgetExceededError,
     DomainError,
     TradeMatrix,
     d_cur_first_approx,
@@ -222,15 +224,24 @@ def test_split_topping_equals_exact_oracle(name, monkeypatch):
     assert 2 in tails and (3 in tails) == (n < 5)
 
 
+def exact_integer_topping(returns, theta, digits):
+    """``exact_topping`` of many paths: exact prefix sums as integers over one denominator."""
+    steps = [sum(Fraction(t) * Fraction(v) for t, v in zip(row, theta)) for row in returns]
+    scale = math.lcm(*(step.denominator for step in steps))
+    walk = np.cumsum(np.array([int(step * scale) for step in steps], dtype=object)[digits], axis=1)
+    peak = walk.max(axis=1)
+    return np.where(peak > 0, np.argmax(walk == peak[:, None], axis=1) + 1, 0)
+
+
 def per_path_small_s_cur(matrix, s, theta, draws):
     """Compounded topping points (with the tie band) against exact linear ones, path by path."""
     rows = path_engine.log_hpr_rows(matrix, s * theta)
     if np.isneginf(rows).any():
         return False
     digits = all_paths(matrix.n_periods, draws)
-    compounded = path_engine.topping_from_prefix(np.cumsum(rows[digits], axis=1),
-                                                 path_engine.TOPPING_TIE_TOL)
-    return compounded.tolist() == exact_topping(matrix.returns.tolist(), theta.tolist(), digits)
+    compounded = path_engine.topping_from_prefix(np.cumsum(rows[digits], axis=1))
+    linear = exact_integer_topping(matrix.returns.tolist(), theta.tolist(), digits)
+    return np.array_equal(compounded, linear)
 
 
 @pytest.mark.parametrize("block", FORCED_BLOCKS)
@@ -317,12 +328,6 @@ def test_eval_tops_each_digit_block_once(tmp_path, capsys, monkeypatch, measure,
         assert len(calls) - calls_per_pass in (0, 1)
 
 
-def full_path_flag(monkeypatch):
-    """Leave the regime flag to admissibility and the full path check: no witness search."""
-    monkeypatch.setattr(risk_measures, "_regime_ruled_out",
-                        lambda matrix, theta, rows, draws: bool(np.isneginf(rows).any()))
-
-
 #: Relative scales along a ray, as shares of its distance to the boundary;
 #: 1.5 is an inadmissible point.
 SHARES = (1e-8, 1e-4, 0.01, 0.1, 0.3, 0.6, 0.9, 1.5)
@@ -337,54 +342,99 @@ def ray_points(matrix, thetas):
             yield share * (radius if math.isfinite(radius) else 1.0), theta
 
 
-#: (game, draws, block): single-block passes, and passes that a patched block
-#: splits into lead blocks and suffix halves.
+#: (game, draws) of the flag checks.
 FLAG_CASES = [
-    ("reference", 4, None), ("reference", 5, 64), ("flat", 5, 16), ("dependent", 3, None),
-    ("dependent", 5, 64), ("random", 3, None), ("random", 4, 64),
+    ("reference", 4), ("reference", 5), ("flat", 5), ("dependent", 3), ("dependent", 5),
+    ("random", 3), ("random", 4),
 ]
 
 
-@pytest.mark.parametrize("name, draws, block", FLAG_CASES)
-def test_witness_first_flag_equals_full_path_flag(name, draws, block, monkeypatch):
+@pytest.mark.parametrize("name, draws", FLAG_CASES)
+def test_witness_first_flag_equals_full_path_flag(name, draws):
+    # the flag reads the count plan; the oracle tops every path, compounded
+    # against exact linear topping points
     matrix = GAMES[name]()
-    if block:
-        monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
     thetas = tie_directions(name, matrix, min(draws, 3))[:3] + plain_directions(matrix.n_systems, draws)
     points = list(ray_points(matrix, thetas))
-    witnessed = [risk_measures._regime_ruled_out(
-        matrix, theta, path_engine.log_hpr_rows(matrix, s * theta), draws) for s, theta in points]
-    fast = [small_s_cur_verified(matrix, s, theta, draws) for s, theta in points]
-    full_path_flag(monkeypatch)
-    full = [small_s_cur_verified(matrix, s, theta, draws) for s, theta in points]
-    assert fast == full
-    # both routes decide some points: a witness, or a path check that passes
-    assert not any(f and w for f, w in zip(full, witnessed))
-    assert any(witnessed) and any(full)
+    flags = [small_s_cur_verified(matrix, s, theta, draws) for s, theta in points]
+    assert flags == [per_path_small_s_cur(matrix, s, theta, draws) for s, theta in points]
+    assert set(flags) == {True, False}
 
 
-def test_witness_first_eval_notes_equal_full_path_notes(tmp_path, capsys, monkeypatch):
-    cases = [(GAMES["reference"](), 4, (0.01, 0.01), (0.3, 0.1), (1.5, 0.2), (1e-160, 1e-160),
-              (0.2, -0.1), (-0.05, 0.02)),
+def test_witness_first_eval_notes_equal_full_path_notes(tmp_path, capsys):
+    cases = [(GAMES["reference"](), 4, (0.01, 0.01), (0.3, 0.1), (1.5, 0.2), (0.2, -0.1),
+              (-0.05, 0.02)),
              (STREAMED, 11, (0.01, 0.01), (0.05, 0.02), (0.3, 0.1), (2.0, 0.1))]
-    runs = [(game_file(tmp_path, matrix), draws, phi) for matrix, draws, *phis in cases for phi in phis]
-    fast = [run_eval(path, measure, draws, phi, capsys)
-            for path, draws, phi in runs for measure in sorted(FORMS)]
-    full_path_flag(monkeypatch)
-    assert fast == [run_eval(path, measure, draws, phi, capsys)
-                    for path, draws, phi in runs for measure in sorted(FORMS)]
-    assert {err for _, _, err in fast} == {"", NOTE}
+    notes = set()
+    for matrix, draws, *phis in cases:
+        path = game_file(tmp_path, matrix)
+        for phi in phis:
+            s = float(np.linalg.norm(phi))
+            want = "" if per_path_small_s_cur(matrix, s, np.array(phi) / s, draws) else NOTE
+            for measure in sorted(FORMS):
+                code, _, err = run_eval(path, measure, draws, phi, capsys)
+                if code == 0:
+                    assert err == want, (phi, measure)
+                    notes.add(err)
+    assert notes == {"", NOTE}
 
 
-def test_tiny_scale_flag_is_left_to_the_path_check(example_matrix, tmp_path, capsys):
-    # no count vector changes class at 1e-160, yet the absolute tie band of the
-    # compounded topping points ties every prefix sum: only the paths show it
-    phi = np.array([1e-160, 1e-160])
-    s = float(np.linalg.norm(phi))
-    rows = path_engine.log_hpr_rows(example_matrix, phi)
-    assert not risk_measures._regime_ruled_out(example_matrix, phi / s, rows, 3)
-    assert small_s_cur_verified(example_matrix, s, phi / s, 3) is False
+def test_tiny_scale_flag_reads_the_count_plan(example_matrix, tmp_path, capsys):
+    # no count vector changes class at 1e-160, and the exact oracle agrees that
+    # the regime holds; a check over every path with the absolute tie band of
+    # the compounded topping points ties every prefix sum there and fails it
     path = game_file(tmp_path, example_matrix)
-    assert run_eval(path, "curFirstApprox", 3, (1e-160, 1e-160), capsys)[2] == NOTE
-    assert run_eval(path, "curFirstApprox", 3, (1e-6, 1e-6), capsys)[2] == ""
+    for phi in ((1e-160, 1e-160), (1e-6, 1e-6)):
+        s = float(np.linalg.norm(phi))
+        theta = np.array(phi) / s
+        for draws in (3, 4):
+            assert oracles.exact_topping_flag(example_matrix.returns.tolist(), (s * theta).tolist(),
+                                              theta.tolist(), draws)
+            assert small_s_cur_verified(example_matrix, s, theta, draws) is True
+            assert per_path_small_s_cur(example_matrix, s, theta, draws) is (s > 1e-100)
+            for measure in sorted(FORMS):
+                assert run_eval(path, measure, draws, phi, capsys)[2] == ""
 
+
+def float_class_misses(matrix, phi, draws):
+    """Count vectors of 1..draws draws whose float compounded class is not the exact one."""
+    hprs = [1 + sum(Fraction(t) * Fraction(v) for t, v in zip(row, phi))
+            for row in matrix.returns.tolist()]
+    logs = path_engine.log_hpr_rows(matrix, phi)
+    comps = np.concatenate([np.array(list(oracles.compositions_colex(k, matrix.n_periods)))
+                            for k in range(1, draws + 1)])
+    exact = [math.prod((h**c for h, c in zip(hprs, x)), start=Fraction(1)) > 1 for x in comps.tolist()]
+    return comps[np.array(exact) != (comps @ logs > 0.0)]
+
+
+#: (game, draws) of the exact-oracle check, with every hyperplane direction of the level.
+EXACT_CASES = [("reference", 3), ("reference", 4), ("flat", 3), ("dependent", 3), ("random", 3)]
+
+
+@pytest.mark.parametrize("s", [1e-16, 1e-14, 1e-12])
+def test_flag_equals_exact_oracle_at_tiny_scales(s):
+    misses, checked = [], 0
+    for name, draws in EXACT_CASES:
+        matrix = GAMES[name]()
+        for theta in tie_directions(name, matrix, draws) + plain_directions(matrix.n_systems, draws):
+            theta = theta / np.linalg.norm(theta)
+            phi = (s * theta).tolist()
+            want = oracles.exact_topping_flag(matrix.returns.tolist(), phi, theta.tolist(), draws)
+            checked += 1
+            if small_s_cur_verified(matrix, s, theta, draws) is not want:
+                misses.append((matrix, phi, draws))
+    assert checked == 106
+    # a miss needs a count vector whose float compounded class is wrong: at
+    # 1e-16 on the level-4 hyperplane direction of (1, 1, 2, 0) of the
+    # reference game, where the compounded log outcome is below the rounding
+    # of its float sum
+    assert all(len(float_class_misses(*miss)) for miss in misses)
+    assert len(misses) <= (s == 1e-16)
+
+
+def test_flag_takes_the_count_budget(example_matrix):
+    # K = 14 would be 4^14 paths; the flag reads C(14 + 4, 4) - 1 = 3059 count states
+    for budget in (None, 3059):
+        assert isinstance(small_s_cur_verified(example_matrix, 1e-4, (0.6, 0.8), 14, budget), bool)
+    with pytest.raises(BudgetExceededError, match="count enumeration of size 3059 exceeds budget 3058"):
+        small_s_cur_verified(example_matrix, 1e-4, (0.6, 0.8), 14, budget=3058)
