@@ -148,8 +148,11 @@ def _load_input(path, probs_text) -> tuple[TradeMatrix, market_bridge.OnePeriodM
 def _write_output(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}") from exc
 
 
 def surface_result(
@@ -246,6 +249,8 @@ def _cmd_verify(args) -> int:
     matrix, market = _load_input(args.input, args.probs)
     if args.samples < 0:
         raise ValidationError("samples must be >= 0")
+    if args.K < 1:
+        raise ValidationError("draws must be >= 1")
     gate = verify.assumption_gate(matrix)
     if not gate.satisfied:
         print(f"assumption: FAIL, direction theta={_fmt_vec(gate.direction)}")

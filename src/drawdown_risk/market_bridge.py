@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .trade_core import (
     TradeMatrix,
+    float_array,
     matrix_rank,
     nonneg_image_direction,
     positive_dual_certificate,
@@ -48,15 +49,18 @@ class OnePeriodMarket:
         probs=None,
         allow_negative_prices: bool = False,
     ):
-        r = float(bond_growth)
+        try:
+            r = float(bond_growth)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bond gross return must be a number: {exc}") from exc
         if not math.isfinite(r) or r < 1.0:
             raise ValidationError("bond gross return must be finite and >= 1")
-        s0 = np.array(initial_prices, dtype=float)
+        s0 = float_array(initial_prices, "initial prices")
         if s0.ndim != 1 or s0.size < 1:
             raise ValidationError("initial prices must be a nonempty vector")
         if not np.all(np.isfinite(s0)) or np.any(s0 <= 0.0):
             raise ValidationError("initial prices must be finite and positive")
-        s1 = np.array(scenario_prices, dtype=float)
+        s1 = float_array(scenario_prices, "scenario prices")
         if s1.ndim != 2 or s1.shape[1] != s0.size or s1.shape[0] < 1:
             raise ValidationError(
                 f"scenario prices must be an N x {s0.size} matrix"
@@ -72,7 +76,7 @@ class OnePeriodMarket:
         if probs is None:
             p = np.full(n, 1.0 / n)
         else:
-            p = np.array(probs, dtype=float)
+            p = float_array(probs, "probs")
             if p.shape != (n,):
                 raise ValidationError(f"probs must have length {n}")
             if not np.all(np.isfinite(p)) or np.any(p <= 0.0):

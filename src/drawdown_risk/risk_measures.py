@@ -37,11 +37,14 @@ the pathwise quantities of ``path_engine`` over path blocks.  The
 block pass for many points and quantities.
 
 Path blocks are lead-aligned and built from the cached digit tables of
-``path_engine``.  The linear topping points of a block come from
-``_topped_blocks``.  A single block is topped in one call.  A streamed
-enumeration tops its lead table and the two halves of its suffix table once
-each; one exact rule, ``_combine``, joins the halves into the suffix table
-and that with each lead block, instead of topping every block from scratch.
+``path_engine``.  A single block is topped in one call and its drawdown
+tables add each path at each step.  A streamed enumeration tops its lead
+table and the two halves of its suffix table once each, as part tables
+that carry each path's weight and row counts up to its top and in total.
+One exact rule, ``_over``, joins the halves into the suffix part table and
+decides, pair by pair, whether a lead and a suffix top in the suffix; the
+tables are then sums over the part tables by top row (``_streamed_tables``),
+and no path of N^K draws is built or added.
 """
 
 from __future__ import annotations
@@ -419,83 +422,88 @@ def _terminal_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, s
 
 
 def _topping_pass(matrix: TradeMatrix, theta, draws: int, budget: int | None, s=None):
-    """Lambda and Upsilon tables from one pass over the path blocks, and a flag.
+    """Lambda and Upsilon tables from one pass over the paths, and a flag.
 
-    Each path weight is added once per step, into the row of its linear
-    topping point: Lambda for the steps after it, Upsilon for the rest, one
-    unmasked ``np.add.at`` per step into one flat [Lambda | Upsilon] buffer,
-    which adds to each cell in the order of a masked add per row.  The
-    topping points come from ``_topped_blocks``.  Given the scale ``s``, the
-    flag is that of ``small_s_cur_verified``, which reads the count plan and
-    no path; else None.
+    A single block adds each path weight once per step, into the row of its
+    linear topping point: Lambda for the steps after it, Upsilon for the rest,
+    one unmasked ``np.add.at`` per step into one flat [Lambda | Upsilon]
+    buffer, which adds to each cell in the order of a masked add per row.  A
+    streamed enumeration builds the tables from its lead and suffix part
+    tables (``_streamed_tables``) and adds no path.  Given the scale ``s``,
+    the flag is that of ``small_s_cur_verified``, which reads the count plan
+    and no path; else None.
     """
     n = matrix.n_periods
-    blocks = _topped_blocks(matrix, theta, draws, budget)
+    blocks = iter_path_blocks(n, draws, budget)  # the draws and path budget rules
     flag = None if s is None else not _regime_ruled_out(matrix, theta, s, draws, budget)
+    lead, tail, per = path_split(n, draws)
+    if lead:
+        return (*_streamed_tables(matrix, theta, lead, tail, per), flag)
+    (digits,) = blocks
+    top = linear_topping_blocks(matrix.returns, digits, theta)
+    w = np.prod(matrix.probs[digits], axis=1)
     tables = np.zeros(2 * (draws + 1) * n)
     half = (draws + 1) * n
-    for digits, top in blocks:
-        w = np.prod(matrix.probs[digits], axis=1)
-        lam_key = top * n
-        ups_key = lam_key + half
-        for pos in range(draws):
-            np.add.at(tables, np.where(top <= pos, lam_key, ups_key) + digits[:, pos], w)
+    lam_key = top * n
+    ups_key = lam_key + half
+    for pos in range(draws):
+        np.add.at(tables, np.where(top <= pos, lam_key, ups_key) + digits[:, pos], w)
     lam, ups = tables.reshape(2, draws + 1, n)
     return lam, ups, flag
 
 
-def _topped_blocks(matrix: TradeMatrix, theta, draws: int, budget: int | None):
-    """(digits, exact linear topping points) of each path block, lazily.
+class _Part(NamedTuple):
+    """A part table: paths of ``draws`` draws with their exact linear topping points.
 
-    A single block is topped by one ``linear_topping_blocks`` call.  A
-    streamed enumeration tops its lead table and the two halves of its
-    suffix table once each, combines the halves into the suffix table and
-    that with each lead block (``_combine``).  Draws and budget are checked
-    when called.
-    """
-    n, returns = matrix.n_periods, matrix.returns
-    blocks = iter_path_blocks(n, draws, budget)
-    lead, tail, per = path_split(n, draws)
-    if not lead:
-        return ((digits, linear_topping_blocks(returns, digits, theta)) for digits in blocks)
-    return zip(blocks, _lead_tops(returns, theta, n, lead, tail, per))
-
-
-class _Walk(NamedTuple):
-    """Paths with their exact linear topping points and float walk values.
-
-    ``peak`` is the walk at the topping point (0 at point 0), ``end`` the
-    walk at the last step and ``scale`` twice the path's sum of |<t_j, theta>|,
-    which bounds the magnitude of every partial sum of the path.
+    Per path, ``peak`` is the float walk at the topping point ``top`` (0 at
+    point 0), ``end`` the walk at the last step and ``scale`` twice its sum of
+    |<t_j, theta>|, which bounds the magnitude of every partial sum; ``weight``
+    is its probability.  Column p of ``up`` holds path p's row counts over
+    steps 1..top and of ``total`` over all its steps, (N, P) each, as int16:
+    no path budget reaches 2^15 draws.
     """
 
-    digits: np.ndarray
+    draws: int
     top: np.ndarray
     peak: np.ndarray
     end: np.ndarray
     scale: np.ndarray
+    weight: np.ndarray
+    up: np.ndarray
+    total: np.ndarray
+
+    def paths(self, index) -> _Part:
+        """The paths at ``index``, every field copied contiguous."""
+        return _Part(self.draws, *(np.take(field, index, axis=-1) for field in self[1:]))
 
 
-def _walked(returns: np.ndarray, theta, digits: np.ndarray) -> _Walk:
-    """A table of paths topped by one ``linear_topping_blocks`` call."""
+def _walked(matrix: TradeMatrix, theta, digits: np.ndarray) -> _Part:
+    """The part table of a digit table, topped by one ``linear_topping_blocks`` call."""
+    returns, (paths, draws) = matrix.returns, digits.shape
     top = linear_topping_blocks(returns, digits, theta)
-    walk = np.hstack([np.zeros((len(digits), 1)), linear_prefix_blocks(returns, digits, theta)])
+    walk = np.hstack([np.zeros((paths, 1)), linear_prefix_blocks(returns, digits, theta)])
     scale = 2.0 * (np.abs(returns) @ np.abs(theta))[digits].sum(axis=1)
-    return _Walk(digits, top, walk[np.arange(len(top)), top], walk[:, -1], scale)
+    hits = digits == np.arange(matrix.n_periods)[:, None, None]
+    return _Part(
+        draws, top, walk[np.arange(paths), top], walk[:, -1], scale,
+        np.prod(matrix.probs[digits], axis=1),
+        (hits & (np.arange(draws) < top[:, None])).sum(axis=2, dtype=np.int16),
+        hits.sum(axis=2, dtype=np.int16),
+    )
 
 
-def _combine(returns: np.ndarray, theta, first: _Walk, second: _Walk) -> _Walk:
-    """The paths first[a] followed by second[q], every a and q, as (A, Q) arrays (no digits).
+def _over(returns: np.ndarray, theta, first: _Part, second: _Part) -> np.ndarray:
+    """Whether the path first[a] followed by second[q] tops in its second part, as (A, Q).
 
     First part a has exact top t_a, float peak P_a and end L_a; second part q
     has exact top t_q and float peak M_q.  Path (a, q) tops at m + t_q, m the
     length of a, when t_q > 0 and (L_a - P_a) + M_q is exactly positive, else
     at t_a (the first index wins ties).  That sign is the linear outcome of
     a's steps after t_a and q's first t_q steps: a float filter with the error
-    bound of ``linear_topping_blocks`` decides it, and counts are built, and
-    ``linear_signs`` run, only for the pairs it leaves undecided.
+    bound of ``linear_topping_blocks`` decides it, and ``linear_signs`` runs
+    on the counts (total_a - up_a) + up_q only for the pairs it leaves open.
     """
-    m, steps = first.digits.shape[1], first.digits.shape[1] + second.digits.shape[1] + 1
+    steps = first.draws + second.draws + 1
     rises = second.top > 0
     values = (first.end - first.peak)[:, None] + second.peak
     scale = first.scale[:, None] + second.scale
@@ -503,38 +511,94 @@ def _combine(returns: np.ndarray, theta, first: _Walk, second: _Walk) -> _Walk:
     near = rises & ~(np.abs(values) > _sign_bound(returns, scale, steps))
     if near.any():
         a, q = np.nonzero(near)
-        symbols = np.arange(len(returns))[:, None, None]
-        after = np.arange(m)[:, None] >= first.top[a]
-        upto = np.arange(second.digits.shape[1])[:, None] < second.top[q]
-        counts = ((first.digits[a].T == symbols) & after).sum(axis=1)
-        counts += ((second.digits[q].T == symbols) & upto).sum(axis=1)
+        counts = ((first.total - first.up)[:, a] + second.up[:, q]).astype(np.int64)
         signs[a, q] = linear_signs(returns, theta, counts, values[a, q], scale[a, q], steps)
-    over = rises & (signs > 0)
-    return _Walk(
-        None,
-        np.where(over, m + second.top, first.top[:, None]),
-        np.where(over, first.end[:, None] + second.peak, first.peak[:, None]),
-        first.end[:, None] + second.end,
-        scale,
+    return rises & (signs > 0)
+
+
+def _joined(returns: np.ndarray, theta, first: _Part, second: _Part) -> _Part:
+    """The part table of the paths first[a] followed by second[q], a-major."""
+    over = _over(returns, theta, first, second)
+    n = len(first.total)
+    up = np.where(over, first.total[:, :, None] + second.up[:, None], first.up[:, :, None])
+    return _Part(
+        first.draws + second.draws,
+        np.where(over, first.draws + second.top, first.top[:, None]).ravel(),
+        np.where(over, first.end[:, None] + second.peak, first.peak[:, None]).ravel(),
+        (first.end[:, None] + second.end).ravel(),
+        (first.scale[:, None] + second.scale).ravel(),
+        (first.weight[:, None] * second.weight).ravel(),
+        up.reshape(n, -1),
+        (first.total[:, :, None] + second.total[:, None]).reshape(n, -1),
     )
 
 
-def _lead_tops(returns: np.ndarray, theta, n: int, lead: int, tail: int, per: int):
-    """Exact linear topping points of the paths of ``per`` leads at a time, one array per block.
+def _part_tables(matrix: TradeMatrix, theta, lead: int, tail: int) -> tuple[_Part, _Part]:
+    """The lead part table, and the suffix part table joined from its two halves.
 
-    The suffix table of m draws is the combine of its halves of floor(m / 2)
-    and ceil(m / 2) draws, each topped by one ``linear_topping_blocks`` call;
-    each lead block is then combined with it.
+    The halves have floor(m / 2) and ceil(m / 2) of the suffix's m draws, so
+    the three ``linear_topping_blocks`` calls top at most a few hundred paths
+    each at the default block size.
     """
-    leads, digits = _walked(returns, theta, _cached_digits(n, lead)), _cached_digits(n, tail)
-    if tail > 1:
-        halves = (_walked(returns, theta, _cached_digits(n, m)) for m in (tail // 2, tail - tail // 2))
-        suffix = _Walk(digits, *(field.ravel() for field in _combine(returns, theta, *halves)[1:]))
-    else:
-        suffix = _walked(returns, theta, digits)
+    n = matrix.n_periods
+    leads = _walked(matrix, theta, _cached_digits(n, lead))
+    if tail == 1:
+        return leads, _walked(matrix, theta, _cached_digits(n, 1))
+    halves = (_walked(matrix, theta, _cached_digits(n, m)) for m in (tail // 2, tail - tail // 2))
+    return leads, _joined(matrix.returns, theta, *halves)
+
+
+def _streamed_tables(matrix: TradeMatrix, theta, lead: int, tail: int, per: int):
+    """Lambda and Upsilon of a streamed enumeration from its part tables, adding no path.
+
+    Pair (a, q) tops at j + t_q where ``_over`` holds, j = ``lead``, and at
+    t_a elsewhere.  So with w = w_a * w_q, where it holds the pair adds
+    w * (total_a + up_q) to Upsilon[j + t_q] and w * (total_q - up_q) to
+    Lambda[j + t_q]; elsewhere w * up_a to Upsilon[t_a] and
+    w * (total_a - up_a + total_q) to Lambda[t_a].  Per block of ``per``
+    leads, the ``_over`` mask sums w_a over the leads each suffix tops,
+    w_q over each suffix run of one top, and [w_q | w_q * total_q] over the
+    suffixes each lead keeps its top with; each part table is then added
+    once by top row.  Every sum is numpy's pairwise sum along a contiguous
+    axis, or over at most ``per`` leads.
+    """
+    returns, n = matrix.returns, matrix.n_periods
+    leads, suffix = _part_tables(matrix, theta, lead, tail)
+    (leads, lead_tops, lead_runs), (suffix, tops, runs) = _by_top(leads), _by_top(suffix)
+    suffix_rows = np.vstack([suffix.weight, suffix.weight * suffix.total])
+    lead_totals = leads.weight * leads.total
+    # per suffix, w_a over the leads it tops; per lead, the suffix rows over
+    # the suffixes that keep its top; per suffix run, w_a * total_a * w_q over its pairs
+    topped = np.zeros(len(suffix.top))
+    kept = np.empty((n + 1, len(leads.top)))
+    ups_runs = np.zeros((n, len(tops)))
     for a0 in range(0, len(leads.top), per):
-        part = _Walk(*(field[a0 : a0 + per] for field in leads))
-        yield _combine(returns, theta, part, suffix).top.ravel()
+        block = np.arange(a0, min(a0 + per, len(leads.top)))
+        over = _over(returns, theta, leads.paths(block), suffix)
+        topped += (leads.weight[block, None] * over).sum(axis=0)
+        runs_w = np.add.reduceat(over * suffix.weight, runs, axis=1)
+        ups_runs += (lead_totals[:, block, None] * runs_w).sum(axis=1)
+        kept[:, block] = (suffix_rows[:, None] * ~over).sum(axis=2)
+    lam, ups = np.zeros((2, lead + tail + 1, n))
+    w = suffix.weight * topped
+    lam[lead + tops] += np.add.reduceat(w * (suffix.total - suffix.up), runs, axis=1).T
+    ups[lead + tops] += (ups_runs + np.add.reduceat(w * suffix.up, runs, axis=1)).T
+    w = leads.weight * kept[0]
+    kept_lam = w * (leads.total - leads.up) + leads.weight * kept[1:]
+    lam[lead_tops] += np.add.reduceat(kept_lam, lead_runs, axis=1).T
+    ups[lead_tops] += np.add.reduceat(w * leads.up, lead_runs, axis=1).T
+    return lam, ups
+
+
+def _by_top(part: _Part) -> tuple[_Part, np.ndarray, np.ndarray]:
+    """A part table sorted by top, its distinct tops and the first column of each run.
+
+    Its fields are contiguous, so a sum over a run is numpy's pairwise sum.
+    """
+    sizes = np.bincount(part.top)
+    part = part.paths(np.argsort(part.top.astype(np.min_scalar_type(len(sizes))), kind="stable"))
+    tops = np.flatnonzero(sizes)
+    return part, tops, (np.cumsum(sizes) - sizes)[tops]
 
 
 def _regime_ruled_out(matrix: TradeMatrix, theta, s: float, draws: int, budget) -> bool:

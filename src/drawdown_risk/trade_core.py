@@ -32,6 +32,14 @@ PROB_SUM_TOL = 1e-12
 RANK_RTOL = 1e-10
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; a malformed number or a ragged row is a ``ValidationError``."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a regular array of numbers: {exc}") from exc
+
+
 class Membership(enum.Enum):
     """Classification of a portion vector against the admissible polyhedron."""
 
@@ -53,7 +61,7 @@ class TradeMatrix:
     __slots__ = ("returns", "probs", "row_reach")
 
     def __init__(self, returns, probs=None):
-        rets = np.array(returns, dtype=float)
+        rets = float_array(returns, "returns")
         if rets.ndim != 2 or rets.shape[0] < 1 or rets.shape[1] < 1:
             raise ValidationError("returns must be a nonempty N x M matrix")
         if not np.all(np.isfinite(rets)):
@@ -62,7 +70,7 @@ class TradeMatrix:
         if probs is None:
             pv = np.full(n, 1.0 / n)
         else:
-            pv = np.array(probs, dtype=float)
+            pv = float_array(probs, "probs")
             if pv.shape != (n,):
                 raise ValidationError(
                     f"probs must have length {n}, got shape {pv.shape}"

@@ -178,6 +178,31 @@ def exact_coefficient_totals(returns, probs, theta, draws):
     return tuple([float(v) for v in vec] for vec in (up, down, ups, lam))
 
 
+def exact_drawdown_tables(returns, probs, theta, draws):
+    """Lambda and Upsilon by topping point in exact rational arithmetic, path by path.
+
+    The linear steps <t_i, theta> and the probabilities are the exact
+    rationals of the float inputs.  A path with topping point l (the first
+    index of the strictly positive maximum of its linear prefix sums, 0 when
+    none is positive) adds its probability to Upsilon[l][i] for each step up
+    to and including l with symbol i, and to Lambda[l][i] for each step after
+    it.  Each entry is rounded to a float once, at the end.
+    """
+    n = len(returns)
+    steps = [sum(Fraction(t) * Fraction(v) for t, v in zip(row, theta)) for row in returns]
+    ups, lam = ([[Fraction(0)] * n for _ in range(draws + 1)] for _ in range(2))
+    for omega in all_paths(n, draws):
+        prob = math.prod((Fraction(probs[i - 1]) for i in omega), start=Fraction(1))
+        top, best, level = 0, Fraction(0), Fraction(0)
+        for j, i in enumerate(omega, start=1):
+            level += steps[i - 1]
+            if level > best:
+                top, best = j, level
+        for pos, i in enumerate(omega, start=1):
+            (ups if pos <= top else lam)[top][i - 1] += prob
+    return tuple([[float(v) for v in row] for row in table] for table in (lam, ups))
+
+
 def coefficient_log_form(coef, returns, theta, s):
     """Sum of coef_i * log(1 + s * <t_i, theta>) over the rows with a nonzero coefficient."""
     return sum(c * math.log1p(s * dot(row, theta)) for c, row in zip(coef, returns) if c)

@@ -287,6 +287,11 @@ class TestVerify:
         assert code == 0
         assert "bridge-consistency: 1/1 pass" in out
 
+    @pytest.mark.parametrize("draws", ["0", "-2"])
+    def test_nonpositive_draws_exit_one_before_the_gate(self, matrix_file, capsys, draws):
+        assert main(["verify", matrix_file, "--K", draws]) == 1
+        assert capsys.readouterr() == ("", "error: draws must be >= 1\n")
+
 
 class TestFromMarket:
     def test_round_trip_through_check(self, market_file, tmp_path, capsys):
@@ -299,6 +304,45 @@ class TestFromMarket:
 
     def test_usage_error_exit_one(self):
         assert main(["from-market"]) == 1
+
+
+#: Input files whose numbers are malformed or whose rows are ragged.
+MALFORMED_INPUTS = {
+    "ragged.json": json.dumps({"returns": [[0.5, -0.2], [-0.4]]}),
+    "text-cell.json": json.dumps({"returns": [[0.5, -0.2], [-0.4, "x"]]}),
+    "probs-object.json": json.dumps({"returns": [[0.5, -0.2], [-0.4, 0.6]], "probs": {"a": 1}}),
+    "ragged.csv": "0.5,-0.2\n-0.4\n",
+    "ragged-market.json": json.dumps({"R": 1.0, "S0": [1.0, 1.0], "scenarios": [[2.0, 2.0], [0.5]]}),
+    "text-rate-market.json": json.dumps({"R": "x", "S0": [1.0], "scenarios": [[2.0], [0.5]]}),
+    "ragged-prices-market.json": json.dumps({"R": 1.0, "S0": [[1.0], 1.0], "scenarios": [[2.0]]}),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+    def test_malformed_numbers_exit_one(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_text(MALFORMED_INPUTS[name])
+        commands = [["check"], ["eval", "--measure", "down", "--phi=0.1,0.1"]]
+        if "market" in name:
+            commands.append(["from-market"])
+        for command, *rest in commands:
+            assert main([command, str(path), *rest]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and "must be" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["surface", "converge", "from-market"])
+    def test_unwritable_out_exits_one(self, matrix_file, market_file, tmp_path, capsys, command):
+        target = tmp_path / "missing" / "x.csv"
+        argv = {"surface": ["surface", matrix_file, "--measure", "down", "--grid=0:0.1:2,0:0.1:2"],
+                "converge": ["converge", matrix_file, "--phi=0.1,0.1", "--Kmax", "2"],
+                "from-market": ["from-market", market_file]}[command]
+        assert main([*argv, "--out", str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert not target.parent.exists()
 
 
 class TestNonFiniteInput:

@@ -1,20 +1,24 @@
 """One exact topping pass per path block.
 
 ``linear_topping_blocks`` decides most signs with a float filter and builds
-integer counts only for what it leaves open; ``drawdown_coefficients`` adds
-each path weight once per step; ``eval`` of a drawdown coefficient form reads
-one set of linear topping points for its value and its regime flag.  A
-streamed enumeration tops one lead table and the two halves of its suffix
-table, combines the halves into the suffix table and that with each lead
-block; with ``path_engine._PATH_BLOCK`` patched small, those combines run on
-every fixture game.  The regime flag reads the count plan and no enumerated
-path: it is False exactly when the point is inadmissible or a witness path
-built from the plan breaks the regime.  Each is checked against an exact
-oracle or a check over every path.
+integer counts only for what it leaves open.  For a single block,
+``drawdown_coefficients`` adds each path weight once per step, bitwise as a
+masked ``np.add.at`` loop.  A streamed enumeration tops one lead table and
+the two halves of its suffix table, joins the halves into the suffix part
+table and builds the tables from the lead and suffix part tables with no
+per-step pass: its tables are checked against a long-double ``np.add.at``
+loop and, with ``path_engine._PATH_BLOCK`` patched small on every fixture
+game, against an exact rational oracle, and its topping points against
+exact prefix sums.  ``eval`` of a drawdown coefficient form tops each part
+table once.  The regime flag reads the count plan and no enumerated path:
+it is False exactly when the point is inadmissible or a witness path built
+from the plan breaks the regime.  Each is checked against an exact oracle
+or a check over every path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -121,14 +125,17 @@ def test_zero_sum_count_vector_never_tops_at_its_end(example_matrix):
         assert got[zero_sum].tolist() == want
 
 
-def add_at_tables(matrix, theta, draws):
+def add_at_tables(matrix, theta, draws, dtype=np.float64):
     """Lambda and Upsilon with one masked ``np.add.at`` per topping level and step.
 
-    The blocks are those of the pass, which sum in block order.
+    The blocks are those of the enumeration, which sum in block order.  In
+    float64 this is the per-step pass of a single block; in long double it
+    is the reference of the streamed tables.
     """
-    lam, ups = np.zeros((2, draws + 1, matrix.n_periods))
+    lam, ups = np.zeros((2, draws + 1, matrix.n_periods), dtype=dtype)
+    probs = matrix.probs.astype(dtype)
     for digits in path_engine.iter_path_blocks(matrix.n_periods, draws):
-        w = np.prod(matrix.probs[digits], axis=1)
+        w = np.prod(probs[digits], axis=1)
         top = path_engine.linear_topping_blocks(matrix.returns, digits, theta)
         for level in range(draws + 1):
             mask = top == level
@@ -149,54 +156,114 @@ STREAMED = TradeMatrix([[0.5, -0.2], [-0.4, 0.6], [0.1, -0.3]], [0.4, 0.35, 0.25
 TWO_ROWS = TradeMatrix([[0.6, -0.3], [-0.5, 0.4]], [0.55, 0.45])
 
 
+#: Single-block table cases.
 TABLE_CASES = {f"{name}-K{draws}": (GAMES[name], draws) for name in sorted(GAMES) for draws in (1, 3, 5)}
 #: Block sizes that split the paths of the small table cases into leads and suffixes.
 FORCED_BLOCKS = (1, 4, 16)
 SPLIT_CASES = [(case, block) for case in sorted(TABLE_CASES) for block in FORCED_BLOCKS]
-TABLE_CASES.update({
+#: Streamed table cases at the default block size.
+STREAMED_CASES = {
     "streamed-K11": (lambda: STREAMED, 11),
     "reference-K9": (GAMES["reference"], 9),
     "random-K7": (GAMES["random"], 7),
     "two-rows-K17": (lambda: TWO_ROWS, 17),
-})
+}
 
 
-def assert_tables_bitwise_equal_add_at_loop(case):
-    game, draws = TABLE_CASES[case]
-    matrix = game()
+def table_directions(matrix, draws):
     thetas = plain_directions(matrix.n_systems, draws)[-3:]
     if matrix.n_systems == 2:
         thetas += [theta for theta, _ in hyperplane_directions(matrix, min(draws, 3))[:3]]
-    for theta in thetas:
-        theta = theta / np.linalg.norm(theta)
+    return [theta / np.linalg.norm(theta) for theta in thetas]
+
+
+def table_errors(got, want):
+    """Largest |got - want| / max(1, |want|) over both tables."""
+    return max(float(np.max(np.abs(g - w) / np.maximum(1.0, np.abs(w)))) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_drawdown_tables_bitwise_equal_add_at_loop(case):
+    game, draws = TABLE_CASES[case]
+    matrix = game()
+    for theta in table_directions(matrix, draws):
         lam, ups = drawdown_coefficients(matrix, theta, draws)
         want_lam, want_ups = add_at_tables(matrix, theta, draws)
         assert lam.values.tobytes() == want_lam.tobytes()
         assert ups.values.tobytes() == want_ups.tobytes()
 
 
-@pytest.mark.parametrize("case", sorted(TABLE_CASES))
-def test_drawdown_tables_bitwise_equal_add_at_loop(case):
-    assert_tables_bitwise_equal_add_at_loop(case)
+@pytest.mark.parametrize("case", sorted(STREAMED_CASES))
+def test_streamed_drawdown_tables_near_long_double_add_at_loop(case):
+    # the part tables sum pairwise; the per-step float64 pass they replace
+    # adds every path at every step, and drifts further from the reference
+    game, draws = STREAMED_CASES[case]
+    matrix = game()
+    assert path_engine.path_split(matrix.n_periods, draws)[0] > 0
+    for theta in table_directions(matrix, draws):
+        got = [table.values for table in drawdown_coefficients(matrix, theta, draws)]
+        want = add_at_tables(matrix, theta, draws, np.longdouble)
+        error = table_errors(got, want)
+        assert error <= 1e-13
+        assert error <= table_errors(add_at_tables(matrix, theta, draws), want)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_tables(case, theta):
+    game, draws = TABLE_CASES[case]
+    matrix = game()
+    returns, probs = matrix.returns.tolist(), matrix.probs.tolist()
+    return oracles.exact_drawdown_tables(returns, probs, theta, draws)
 
 
 @pytest.mark.parametrize("case, block", SPLIT_CASES)
-def test_split_drawdown_tables_bitwise_equal_add_at_loop(case, block, monkeypatch):
+def test_split_drawdown_tables_equal_exact_oracle(case, block, monkeypatch):
+    game, draws = TABLE_CASES[case]
+    matrix = game()
     monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
-    assert_tables_bitwise_equal_add_at_loop(case)
+    for theta in table_directions(matrix, draws):
+        got = [table.values for table in drawdown_coefficients(matrix, theta, draws)]
+        want = [np.array(table) for table in exact_tables(case, tuple(theta.tolist()))]
+        assert table_errors(got, want) <= 1e-14
 
 
 def all_paths(n, draws):
     return np.array(list(itertools.product(range(n), repeat=draws)))
 
 
+def row_counts(digits, n, stop):
+    """Per path, the counts of each row over its first ``stop`` steps: (N, P)."""
+    steps = np.arange(digits.shape[1]) < stop[:, None]
+    return ((digits == np.arange(n)[:, None, None]) & steps).sum(axis=2)
+
+
+def part_table_tops(matrix, theta, draws):
+    """Every path's topping point by the part-table rule, in enumeration order.
+
+    Lead a and suffix q top at lead + t_q where ``_over`` holds, else at t_a.
+    The suffix table's counts are checked against its digits on the way.
+    """
+    n = matrix.n_periods
+    lead, tail, per = path_engine.path_split(n, draws)
+    leads, suffix = risk_measures._part_tables(matrix, theta, lead, tail)
+    digits = path_engine._cached_digits(n, tail)
+    assert np.array_equal(suffix.total, row_counts(digits, n, np.full(len(digits), tail)))
+    assert np.array_equal(suffix.up, row_counts(digits, n, suffix.top))
+    tops = []
+    for a0 in range(0, len(leads.top), per):
+        part = leads.paths(np.arange(a0, min(a0 + per, len(leads.top))))
+        over = risk_measures._over(matrix.returns, theta, part, suffix)
+        tops.append(np.where(over, lead + suffix.top, part.top[:, None]).ravel())
+    return np.concatenate(tops)
+
+
 @pytest.mark.parametrize("name", sorted(GAMES))
 def test_split_topping_equals_exact_oracle(name, monkeypatch):
     # lead x suffix topping points against exact prefix sums, with suffix
-    # tables of two or more draws combined from their halves (of unequal
+    # tables of two or more draws joined from their halves (of unequal
     # lengths at N = 3 and N = 4 with the block of 64); with the M = 2 tie
-    # directions some pairs need the combine's exact rule, in the halves
-    # combine too, whose sums have tail + 1 steps
+    # directions some pairs need the exact rule of ``_over``, in the halves
+    # join too, whose sums have tail + 1 steps
     matrix = GAMES[name]()
     n = matrix.n_periods
     steps = []
@@ -212,12 +279,12 @@ def test_split_topping_equals_exact_oracle(name, monkeypatch):
             for block in FORCED_BLOCKS + (64,):
                 monkeypatch.setattr(path_engine, "_PATH_BLOCK", block)
                 lead, tail, _ = path_engine.path_split(n, draws)
+                if not lead:
+                    continue
                 steps.clear()
-                pairs = list(risk_measures._topped_blocks(matrix, theta, draws, None))
-                assert np.array_equal(np.concatenate([d for d, _ in pairs]), digits)
-                assert np.concatenate([top for _, top in pairs]).tolist() == want, (theta, block)
+                assert part_table_tops(matrix, theta, draws).tolist() == want, (theta, block)
                 exact |= bool(steps)
-                if lead and tail > 1:
+                if tail > 1:
                     tails.add(tail)
                     halves_exact |= any(theta is t for t in ties) and tail + 1 in steps
     assert exact == halves_exact == (matrix.n_systems == 2)
